@@ -3,11 +3,14 @@
 Submodules:
 
 * ``compat``     — parameterization of symmetric doubly-stochastic matrices
-                   (Eq 6 of the paper), skew-``h`` matrices, distances.
+                   (Eq 6 as one affine map), skew-``h`` matrices, distances.
 * ``sketch``     — factorized path summation (Algorithm 4.4) over Spark
                    DataFrames: the graph summaries ``P_NB^(l)``.
-* ``gradient``   — DCE energy (Eq 13/14) and its explicit gradient (Prop 4.7).
+* ``gradient``   — DCE energy (Eq 13/14; MCE is ell_max = 1), its weights and
+                   its explicit gradient (Prop 4.7).
 * ``optimize``   — from-scratch optimizers (gradient descent with Armijo line
-                   search; Nelder-Mead for the gradient-free Holdout baseline).
-* ``estimators`` — MCE / LCE / DCE / DCEr / Holdout / heuristic / gold standard.
+                   search, one call per start of the estimators' restart loop;
+                   Nelder-Mead for the gradient-free Holdout baseline).
+* ``estimators`` — MCE / LCE / DCE / DCEr / Holdout / heuristic / gold standard;
+                   MCE, DCE and DCEr share one restart loop.
 """

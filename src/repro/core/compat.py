@@ -4,15 +4,19 @@ A compatibility matrix ``H`` is a symmetric doubly-stochastic k x k matrix.
 It has ``k* = k(k-1)/2`` degrees of freedom; the paper (Eq 6) parameterizes it
 by the upper triangle (including the diagonal) of the leading (k-1) x (k-1)
 block, with the last row / column / corner recovered from symmetry and
-row/column stochasticity.
+row/column stochasticity. That reconstruction is affine, ``vec(H) = A @ h + b``
+(:func:`eq6_map`), so it and its chain rule are one matmul each.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "n_free_params",
     "free_param_indices",
+    "eq6_map",
     "h_to_H",
     "H_to_h",
     "uniform_h",
@@ -41,6 +45,28 @@ def free_param_indices(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k - 1) for j in range(i, k - 1)]
 
 
+@lru_cache(maxsize=32)
+def eq6_map(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eq 6 as the affine map ``vec(H) = A @ h + b``; read-only ``A`` (k*k, k*)
+    and ``b`` (k*k,). Column p of ``A`` is ``vec(S^ij)`` of Prop 4.7 for the
+    p-th free parameter ``(i, j)`` of :func:`free_param_indices`."""
+    rows, cols = np.triu_indices(k - 1)
+    p = np.arange(len(rows))
+    A = np.zeros((k, k, len(rows)))
+    A[rows, cols, p] = A[cols, rows, p] = 1.0
+    # Last column and row from row-stochasticity, corner from Eq 6.
+    A[:-1, -1] = -A[:-1, :-1].sum(axis=1)
+    A[-1, :-1] = A[:-1, -1]
+    A[-1, -1] = -A[-1, :-1].sum(axis=0)
+    b = np.zeros((k, k))
+    b[:-1, -1] = b[-1, :-1] = 1.0
+    b[-1, -1] = 2.0 - k
+    A, b = A.reshape(k * k, -1), b.ravel()
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return A, b
+
+
 def h_to_H(h: np.ndarray, k: int) -> np.ndarray:
     """Reconstruct the full k x k matrix from the ``k*`` free parameters
     (paper Eq 6). The result is symmetric with unit row- and column-sums by
@@ -50,24 +76,15 @@ def h_to_H(h: np.ndarray, k: int) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (n_free_params(k),):
         raise ValueError(f"expected h of shape ({n_free_params(k)},), got {h.shape}")
-    H = np.zeros((k, k))
-    for p, (i, j) in enumerate(free_param_indices(k)):
-        H[i, j] = h[p]
-        H[j, i] = h[p]
-    # Last column and row from row-stochasticity, corner from Eq 6.
-    for i in range(k - 1):
-        H[i, k - 1] = 1.0 - H[i, : k - 1].sum()
-        H[k - 1, i] = H[i, k - 1]
-    H[k - 1, k - 1] = 1.0 - H[k - 1, : k - 1].sum()
-    return H
+    A, b = eq6_map(k)
+    return (A @ h + b).reshape(k, k)
 
 
 def H_to_h(H: np.ndarray) -> np.ndarray:
     """Extract the free parameters from a symmetric doubly-stochastic matrix
     (inverse of :func:`h_to_H`)."""
     H = np.asarray(H, dtype=float)
-    k = H.shape[0]
-    return np.array([H[i, j] for (i, j) in free_param_indices(k)])
+    return H[np.triu_indices(H.shape[0] - 1)]
 
 
 def uniform_h(k: int) -> np.ndarray:

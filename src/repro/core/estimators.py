@@ -28,8 +28,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import compat
-from repro.core.gradient import dce_energy, dce_gradient, mce_energy, mce_gradient, structure_project
-from repro.core.optimize import gradient_descent, nelder_mead
+from repro.core.gradient import dce_energy, dce_gradient, dce_weights, structure_project
+from repro.core.optimize import OptResult, gradient_descent, nelder_mead
 from repro.core.sketch import GraphSketches, build_sketches
 from repro.linops.ops import cls_cols, onehot_df, spmm, xtn
 
@@ -72,15 +72,20 @@ def gold_standard(edges: DataFrame, all_labels: DataFrame, k: int) -> Estimation
     )
 
 
-def _fit_to_target(P_hat: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Closest symmetric doubly-stochastic matrix to P_hat in Frobenius norm
-    (the MCE optimization, Eq 12) via gradient descent on the free params."""
-    res = gradient_descent(
-        lambda h: mce_energy(h, P_hat, k),
-        lambda h: mce_gradient(h, P_hat, k),
-        compat.uniform_h(k),
-    )
-    return compat.h_to_H(res.x, k), res.fun
+def _minimize_energy(
+    P: list[np.ndarray], w: np.ndarray, k: int, starts: list[np.ndarray]
+) -> tuple[OptResult, dict]:
+    """Step 2 of MCE, DCE and DCEr: minimize the DCE energy (Eq 13/14) from
+    each start; returns the first lowest-energy result and the per-start
+    records, which show any start that stopped at the iteration cap."""
+    runs = [gradient_descent(lambda h: dce_energy(h, P, w, k),
+                             lambda h: dce_gradient(h, P, w, k), h0) for h0 in starts]
+    best = min(runs, key=lambda res: res.fun)
+    return best, {
+        "restart_energies": [res.fun for res in runs],
+        "restart_nit": [res.nit for res in runs],
+        "restart_converged": [res.converged for res in runs],
+    }
 
 
 def mce(
@@ -91,16 +96,18 @@ def mce(
     variant: int = 1,
     sketches: GraphSketches | None = None,
 ) -> EstimationResult:
-    """Myopic compatibility estimation: length-1 statistics only."""
+    """Myopic compatibility estimation (Eq 12): the closest symmetric
+    doubly-stochastic matrix to the length-1 statistics, i.e. the DCE energy
+    with ell_max = 1, from the uniform start."""
     t0 = time.perf_counter()
     if sketches is None:
         sketches = build_sketches(edges, seed_labels, k, ell_max=1, nb=True, variant=variant)
     P1 = sketches.P[0] if sketches.variant == variant else _renorm(sketches, 1, variant)
     t1 = time.perf_counter()
-    H, e = _fit_to_target(P1, k)
+    best, extra = _minimize_energy([P1], np.ones(1), k, [compat.uniform_h(k)])
     return EstimationResult(
-        H=H, method=f"mce_v{variant}", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=e,
+        H=compat.h_to_H(best.x, k), method=f"mce_v{variant}", sketch_time=t1 - t0,
+        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
     )
 
 
@@ -188,21 +195,14 @@ def dce(
     t0 = time.perf_counter()
     if sketches is None:
         sketches = build_sketches(edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant)
-    P = sketches.P[:ell_max]
-    # Normalized geometric weights: same argmin as [1, lam, lam^2, ...] but the
-    # energy stays O(1) for any lambda, which keeps the relative stopping rule
-    # of the optimizer meaningful.
-    w = np.array([lam**i for i in range(ell_max)])
-    w = w / w.sum()
     t1 = time.perf_counter()
-    res = gradient_descent(
-        lambda h: dce_energy(h, P, w, k),
-        lambda h: dce_gradient(h, P, w, k),
-        compat.uniform_h(k) if h0 is None else h0,
+    best, extra = _minimize_energy(
+        sketches.P[:ell_max], dce_weights(lam, ell_max), k,
+        [compat.uniform_h(k) if h0 is None else h0],
     )
     return EstimationResult(
-        H=compat.h_to_H(res.x, k), method="dce", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=res.fun,
+        H=compat.h_to_H(best.x, k), method="dce", sketch_time=t1 - t0,
+        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
     )
 
 
@@ -210,7 +210,9 @@ def restart_points(k: int, r: int, *, seed: int = 0) -> list[np.ndarray]:
     """Restart initializations (Section 4.8): the uniform point first, then
     points in distinct hyper-quadrants of the k*-dimensional space, each free
     parameter 1/k ± delta with delta < 1/k^2 (all 2^k* quadrants when they fit
-    in r, random sign patterns otherwise)."""
+    in 4r, random sign patterns otherwise). So there are ``min(r, 1 + 2^k*)``
+    points when all quadrants are enumerated, else ``r``: (3, 10) gives 9,
+    (4, 10) gives 10."""
     ks = compat.n_free_params(k)
     delta = 0.5 / (k * k)
     rng = np.random.default_rng(seed)
@@ -246,13 +248,12 @@ def dcer(
     """DCE with restarts (Section 4.8): sketch once, optimize ``restarts``
     times from different initial points, keep the lowest-energy solution.
     The sketch phase dominates on large graphs, which is why DCE and DCEr
-    cost the same there (paper Fig 6k)."""
+    cost the same there (paper Fig 6k). The starts are :func:`restart_points`,
+    so there can be fewer than ``restarts`` (9 for k = 3, r = 10)."""
     t0 = time.perf_counter()
     if sketches is None:
         sketches = build_sketches(edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant)
     P = sketches.P[:ell_max]
-    w = np.array([lam**i for i in range(ell_max)])
-    w = w / w.sum()  # see `dce` — scale-stable energy, identical argmin
     t1 = time.perf_counter()
     starts = restart_points(k, restarts, seed=seed)
     if restarts >= 2:
@@ -261,22 +262,11 @@ def dcer(
         # cover a vanishing fraction of the 2^k* quadrants, and warm-starting
         # from the myopic solution keeps DCEr at least as good as MCE in the
         # label-rich regime (paper Fig 6g's "DCEr stays ahead" shape).
-        starts[-1] = compat.H_to_h(_fit_to_target(P[0], k)[0])
-    best = None
-    energies = []
-    for h0 in starts:
-        res = gradient_descent(
-            lambda h: dce_energy(h, P, w, k),
-            lambda h: dce_gradient(h, P, w, k),
-            h0,
-        )
-        energies.append(res.fun)
-        if best is None or res.fun < best.fun:
-            best = res
+        starts[-1] = _minimize_energy([P[0]], np.ones(1), k, [compat.uniform_h(k)])[0].x
+    best, extra = _minimize_energy(P, dce_weights(lam, ell_max), k, starts)
     return EstimationResult(
         H=compat.h_to_H(best.x, k), method="dcer", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=best.fun,
-        extra={"restart_energies": energies},
+        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
     )
 
 

@@ -1,6 +1,7 @@
 """DCE energy function (paper Eqs 13/14) and its explicit gradient
 (Proposition 4.7), with respect to the k* free parameters of the Eq-6
-parameterization.
+parameterization. MCE's objective (Eq 12) is the ell_max = 1 case, with the
+single weight 1.
 
 Step 2 of the paper's pipeline: everything here operates on k x k matrices
 only — deliberately independent of graph size.
@@ -9,9 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compat import free_param_indices, h_to_H, n_free_params
+from repro.core.compat import eq6_map, h_to_H
 
-__all__ = ["dce_energy", "dce_gradient", "structure_project", "mce_energy", "mce_gradient"]
+__all__ = ["dce_weights", "dce_energy", "dce_gradient", "structure_project"]
+
+
+def dce_weights(lam: float, ell_max: int) -> np.ndarray:
+    """The geometric distance weights ``lam^(l-1)``, l = 1..ell_max, normalized
+    to sum 1: same argmin, but the energy stays O(1) for any lambda, which
+    keeps the optimizer's relative stopping rule meaningful."""
+    w = np.array([lam**i for i in range(ell_max)])
+    return w / w.sum()
 
 
 def _h_powers(H: np.ndarray, up_to: int) -> list[np.ndarray]:
@@ -58,26 +67,11 @@ def _dE_dH(H: np.ndarray, P: list[np.ndarray], weights: np.ndarray) -> np.ndarra
 
 def structure_project(G: np.ndarray) -> np.ndarray:
     """Chain rule through the Eq-6 parameterization: contract the full-matrix
-    gradient G with the structure matrices S^ij of Prop 4.7, yielding the
-    gradient w.r.t. the k* free parameters (ordered as
-    ``compat.free_param_indices``)."""
-    k = G.shape[0]
-    out = np.zeros(n_free_params(k))
-    last = k - 1
-    for p, (i, j) in enumerate(free_param_indices(k)):
-        if i == j:
-            out[p] = G[i, i] - G[i, last] - G[last, i] + G[last, last]
-        else:
-            out[p] = (
-                G[i, j]
-                + G[j, i]
-                - G[i, last]
-                - G[last, j]
-                - G[j, last]
-                - G[last, i]
-                + 2.0 * G[last, last]
-            )
-    return out
+    gradient G with the structure matrices S^ij of Prop 4.7 (the columns of
+    ``compat.eq6_map``'s ``A``), yielding the gradient w.r.t. the k* free
+    parameters (ordered as ``compat.free_param_indices``)."""
+    A, _ = eq6_map(G.shape[0])
+    return A.T @ G.ravel()
 
 
 def dce_gradient(
@@ -86,13 +80,3 @@ def dce_gradient(
     """Explicit gradient of :func:`dce_energy` w.r.t. the free parameters."""
     H = h_to_H(h, k)
     return structure_project(_dE_dH(H, P, weights))
-
-
-def mce_energy(h: np.ndarray, P_hat: np.ndarray, k: int) -> float:
-    """MCE objective ``||H(h) - P_hat||_F^2`` (Eq 12) — the ell_max = 1
-    special case, kept separate for clarity and tests."""
-    return float(np.sum((h_to_H(h, k) - P_hat) ** 2))
-
-
-def mce_gradient(h: np.ndarray, P_hat: np.ndarray, k: int) -> np.ndarray:
-    return structure_project(2.0 * (h_to_H(h, k) - P_hat))

@@ -7,7 +7,8 @@ relies on are implemented here:
   line search, used with the paper's explicit gradient (Prop 4.7) for
   MCE/LCE/DCE/DCEr. The Eq-6 parameterization already bakes the symmetric
   doubly-stochastic constraints into the search space, so the problem is
-  unconstrained in h (the paper's SLSQP plays the same role).
+  unconstrained in h (the paper's SLSQP plays the same role). MCE, DCE and
+  DCEr reach it through one call site, ``estimators._minimize_energy``.
 * :func:`nelder_mead` — the gradient-free simplex method for the Holdout
   baseline, whose objective (negative propagation accuracy) is a step
   function with no gradient (the paper uses scipy's Nelder-Mead for exactly

@@ -41,10 +41,6 @@ class GraphSketches:
     M: list[np.ndarray] = field(default_factory=list)
     P: list[np.ndarray] = field(default_factory=list)
 
-    def weights(self, lam: float) -> np.ndarray:
-        """The paper's geometric distance weights w_l = lam^(l-1)."""
-        return np.array([lam**i for i in range(self.ell_max)])
-
 
 def build_sketches(
     edges: DataFrame,

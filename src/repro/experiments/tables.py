@@ -204,7 +204,6 @@ def table_t5(
         g = planted_graph(n, int(n * d / 2), _balanced(k), H, seed=seed)
         prep = prepare(spark, g, f, seed=seed)
         timings: dict[str, float] = {}
-        t0 = time.perf_counter()
         est_mce = mce(prep.edges, prep.seeds, k)
         timings["mce"] = est_mce.total_time
         est_lce = lce(prep.edges, prep.seeds, k)

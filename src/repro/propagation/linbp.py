@@ -65,7 +65,8 @@ def linbp_propagate(
             Fdf.unpersist()
         Fdf = nxt
         if (i + 1) % checkpoint_every == 0:
-            Fdf = Fdf.localCheckpoint()
+            Fdf = Fdf.localCheckpoint()  # eager: materialized before the release
+            nxt.unpersist()
     X.unpersist()
     return Fdf
 

@@ -78,7 +78,8 @@ def random_walk_propagate(
             Fdf.unpersist()
         Fdf = nxt
         if (i + 1) % 5 == 0:
-            Fdf = Fdf.localCheckpoint()
+            Fdf = Fdf.localCheckpoint()  # eager: materialized before the release
+            nxt.unpersist()
     U.unpersist()
     deg.unpersist()
     return Fdf

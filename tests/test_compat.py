@@ -68,6 +68,40 @@ def test_h_to_H_constraints_hypothesis(k, seed):
     assert np.allclose(H, H.T)
 
 
+def _eq6_entrywise(h, k):
+    """Eq 6 transcribed entry by entry: free entries and their mirrors, the
+    last row / column from unit row sums, then the corner."""
+    H = np.zeros((k, k))
+    p = 0
+    for i in range(k - 1):
+        for j in range(i, k - 1):
+            H[i, j] = H[j, i] = h[p]
+            p += 1
+    for i in range(k - 1):
+        H[i, k - 1] = H[k - 1, i] = 1.0 - H[i, : k - 1].sum()
+    H[k - 1, k - 1] = 1.0 - H[k - 1, : k - 1].sum()
+    return H
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_affine_h_to_H_matches_entrywise_eq6(k, seed):
+    # Same entries, summed in another order: allow a few ulps per term of
+    # the corner's sum of up to 2k* values in [-2, 2].
+    h = np.random.default_rng(seed).uniform(-2, 2, compat.n_free_params(k))
+    atol = 8 * k * k * np.finfo(float).eps
+    assert np.allclose(compat.h_to_H(h, k), _eq6_entrywise(h, k), rtol=0, atol=atol)
+
+
+def test_eq6_map_is_cached_and_read_only():
+    A, b = compat.eq6_map(4)
+    assert compat.eq6_map(4)[0] is A
+    with pytest.raises(ValueError):
+        A[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        b[0] = 2.0
+
+
 def test_h_to_H_k3_matches_paper_formula():
     # Paper Section 4 spells out the k=3 reconstruction explicitly.
     h11, h21, h22 = 0.3, 0.5, 0.1
@@ -136,13 +170,17 @@ def test_center_subtracts_inverse_k():
     assert np.allclose(Hc.sum(axis=1), 0.0)
 
 
-@pytest.mark.parametrize("k,r", [(3, 1), (3, 5), (3, 10), (4, 10), (5, 20), (7, 10)])
-def test_restart_points_shape_and_determinism(k, r):
+@pytest.mark.parametrize(
+    "k,r,n_points",
+    # min(r, 1 + 2^k*) while all 2^k* quadrants fit in 4r, else r.
+    [pytest.param(k, r, n, id=f"{k}-{r}")
+     for k, r, n in [(3, 1, 1), (3, 5, 5), (3, 10, 9), (4, 10, 10), (5, 20, 20), (7, 10, 10)]],
+)
+def test_restart_points_shape_and_determinism(k, r, n_points):
     from repro.core.estimators import restart_points
 
     pts = restart_points(k, r, seed=3)
-    assert len(pts) <= max(r, 1)
-    assert len(pts) >= 1
+    assert len(pts) == n_points
     assert np.allclose(pts[0], compat.uniform_h(k))
     for p in pts[1:]:
         # hyper-quadrant points: 1/k +- delta with delta < 1/k^2 (Section 4.8)

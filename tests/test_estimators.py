@@ -96,6 +96,32 @@ def test_dcer_at_least_as_good_as_dce(est_graph, est_sketches):
     assert len(er.extra["restart_energies"]) <= 10
 
 
+def test_mce_is_dce_with_ell_max_1(est_graph, est_sketches):
+    """MCE (Eq 12) is the ell_max = 1 case of the DCE energy (Eq 13/14)."""
+    args = (est_graph["edges"], est_graph["seeds"], 3)
+    m = mce(*args, sketches=est_sketches)
+    d = dce(*args, ell_max=1, sketches=est_sketches)
+    assert np.abs(m.H - d.H).max() <= 1e-12
+
+
+def test_restart_records_align(est_graph, est_sketches):
+    """Every step-2 estimator reports each start's energy, iteration count and
+    convergence flag; the best start is the reported energy."""
+    args = (est_graph["edges"], est_graph["seeds"], 3)
+    for est, n_starts in (
+        (mce(*args, sketches=est_sketches), 1),
+        (dce(*args, sketches=est_sketches), 1),
+        (dcer(*args, sketches=est_sketches, restarts=10, seed=0), 9),
+    ):
+        energies = est.extra["restart_energies"]
+        nit = est.extra["restart_nit"]
+        converged = est.extra["restart_converged"]
+        assert len(energies) == len(nit) == len(converged) == n_starts
+        assert min(energies) == est.energy
+        assert all(n >= 1 for n in nit)
+        assert all(isinstance(c, bool) for c in converged)
+
+
 def test_dcer_deterministic(est_graph, est_sketches):
     a = dcer(est_graph["edges"], est_graph["seeds"], 3, sketches=est_sketches,
              restarts=5, seed=3)

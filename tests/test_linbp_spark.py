@@ -17,6 +17,7 @@ from repro.propagation.linbp import (
     linbp_propagate,
     predict_labels,
 )
+from repro.propagation.rwalk import random_walk_propagate
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,23 @@ def test_one_linbp_step_vs_duckdb_oracle(tiny_spark, spark, rho_w):
     """
     assert_equivalent(bel, sql, edges=tiny_spark.edges_pdf, x=x_pdf)
     bel.unpersist()
+
+
+def test_propagation_releases_cached_iterates(spark, tiny_spark, rho_w):
+    """Three 10-iteration calls, each followed by unpersisting the returned
+    beliefs, leave persisted at most their local checkpoints (2 per call)."""
+    runs = {
+        "linbp": lambda: linbp_propagate(tiny_spark.edges, tiny_spark.seeds, skew_H(3, 3.0),
+                                         rho_w=rho_w, iters=10),
+        "random walk": lambda: random_walk_propagate(tiny_spark.edges, tiny_spark.seeds, 3,
+                                                     iters=10),
+    }
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    for name, run in runs.items():
+        before = persistent().size()
+        for _ in range(3):
+            run().unpersist()
+        assert persistent().size() - before <= 3 * 2, name
 
 
 def test_predict_labels_argmax_semantics(spark):

@@ -8,6 +8,7 @@ import pytest
 
 from repro import reference as R
 from repro.core.compat import skew_H
+from repro.core.gradient import dce_weights
 from repro.core.sketch import build_sketches, explicit_power_m
 from repro.graphs.edges import to_spark_edges, to_spark_labels
 from repro.linops.ops import from_numpy_frame
@@ -51,9 +52,9 @@ def test_p_matrices_are_row_normalized(sketches_nb):
         assert np.allclose(P.sum(axis=1), 1.0)
 
 
-def test_weights_geometric(sketches_nb):
-    w = sketches_nb.weights(10.0)
-    assert np.allclose(w, [1, 10, 100, 1000])
+def test_weights_geometric():
+    w = dce_weights(10.0, 4)
+    assert np.allclose(w, np.array([1, 10, 100, 1000]) / 1111)
 
 
 def test_full_sketch_equals_explicit_power(tiny_spark, sketches_full):
