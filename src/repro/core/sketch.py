@@ -13,7 +13,10 @@ l = 1..ell_max, in O(m k ell_max), *never* materializing ``W^l``.
 
 Every intermediate is an n x k DataFrame; the only data leaving the cluster
 are the k x k summaries — the "factorized graph representation" whose size is
-independent of the graph.
+independent of the graph. Each level is materialized with its lineage cut
+(``repro.linops.ops.materialize``), so level l plans as ``W`` times one-leaf
+frames rather than as the whole recurrence so far; a level is released once
+the level that last reads it is materialized.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.graphs.edges import degrees_df
-from repro.linops.ops import add, onehot_df, scale_rows, spmm, xtn
+from repro.linops.ops import add, materialize, onehot_df, release, scale_rows, spmm, xtn
 from repro.reference import normalize_m
 
 __all__ = ["GraphSketches", "build_sketches", "explicit_power_m"]
@@ -55,10 +58,10 @@ def build_sketches(
 
     ``edges`` is the symmetric edge DataFrame, ``labels`` the seed labels
     (node, label). Returns the k x k summaries only; all n x k intermediates
-    are persisted per step and released as the recurrence advances.
+    are materialized per step and released as the recurrence advances.
     """
-    X = onehot_df(labels, k).persist()
-    deg = degrees_df(edges).persist()
+    X = materialize(onehot_df(labels, k))
+    deg = materialize(degrees_df(edges))
     sk = GraphSketches(k=k, ell_max=ell_max, nb=nb, variant=variant)
 
     n_prev2: DataFrame | None = None  # N^(l-2)
@@ -77,16 +80,16 @@ def build_sketches(
                 k,
                 cb=-1.0,
             )
-        cur = cur.persist()
-        M = xtn(labels, cur, k)  # action: materializes `cur`
+        cur = materialize(cur)
+        M = xtn(labels, cur, k)
         sk.M.append(M)
         sk.P.append(normalize_m(M, variant))
         if n_prev2 is not None:
-            n_prev2.unpersist()
+            release(n_prev2)
         n_prev2, n_prev = n_prev, cur
     for df in (n_prev2, n_prev, X, deg):
         if df is not None:
-            df.unpersist()
+            release(df)
     return sk
 
 

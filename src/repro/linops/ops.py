@@ -9,8 +9,17 @@ joins).
 
 Absent rows mean all-zero rows; ``add`` reconciles them with outer joins +
 coalesce so sparsity is preserved through the recurrences.
+
+The recurrences (the sketch levels, LinBP, the random walk, power iteration)
+would otherwise grow their logical plan with every step: ``N^(l)`` reads both
+``N^(l-1)`` and ``N^(l-2)``, so the plan of level l carries every earlier
+level, and each action re-analyses that tree. ``materialize`` cuts the lineage
+at every step and ``release`` frees the frame a step replaced; ``iterate`` is
+the one loop built on the pair.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
@@ -27,6 +36,9 @@ __all__ = [
     "xtn",
     "to_numpy_frame",
     "from_numpy_frame",
+    "materialize",
+    "release",
+    "iterate",
 ]
 
 
@@ -133,3 +145,48 @@ def from_numpy_frame(spark: SparkSession, A: np.ndarray, *, drop_zero_rows: bool
     if drop_zero_rows:
         pdf = pdf[(A != 0).any(axis=1)]
     return spark.createDataFrame(pdf)
+
+
+def materialize(df: DataFrame) -> DataFrame:
+    """Compute ``df`` now and cut its lineage (an eager ``localCheckpoint()``).
+
+    The returned frame's logical plan is a single leaf over the checkpointed
+    blocks, so a step that reads it plans in constant size however many steps
+    came before. Free it with :func:`release`."""
+    return df.localCheckpoint(eager=True)
+
+
+def release(df: DataFrame) -> None:
+    """Free a frame returned by :func:`materialize`.
+
+    ``DataFrame.unpersist()`` only drops entries of the SQL cache and leaves a
+    local checkpoint's blocks persisted (PySpark 4.1), so the checkpointed RDD
+    under the frame's one-leaf plan is unpersisted instead."""
+    df._jdf.queryExecution().logical().rdd().unpersist(False)
+
+
+def iterate(step: Callable[[DataFrame], DataFrame], start: DataFrame, iters: int) -> DataFrame:
+    """``F <- step(F)`` for ``iters >= 1`` rounds from ``start``.
+
+    Every iterate but the last is materialized, and the one it replaced is
+    released only after that, so each step reads a one-leaf plan and at most
+    two iterates are held. The last iterate is ``persist()``-ed and counted
+    instead, so the caller frees it with ``unpersist()``. Its lineage runs
+    through frames released after it is counted (the previous iterate, and
+    ``start`` once the caller frees it). That is safe because the default
+    MEMORY_AND_DISK level spills its blocks instead of dropping them, so they
+    are never recomputed. ``start``, and anything else ``step`` reads, stays
+    the caller's to release."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    cur = start
+    for i in range(iters):
+        if i < iters - 1:
+            nxt = materialize(step(cur))
+        else:
+            nxt = step(cur).persist()
+            nxt.count()
+        if cur is not start:
+            release(cur)
+        cur = nxt
+    return cur

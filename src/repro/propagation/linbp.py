@@ -12,7 +12,11 @@ guarantees centering does not change the final labels; we center because the
 centered iterate provably converges.
 
 Each iteration is one shuffle join (``W F``), one narrow column combination
-(``· H_eff``) and one outer-join add (``X + ·``) — all Catalyst-planned.
+(``· H_eff``) and one outer-join add (``X + ·``) — all Catalyst-planned. The
+loop is ``repro.linops.ops.iterate``: every iterate is materialized with its
+lineage cut and the one it replaced released, so iteration t plans over one
+leaf, not over the t iterations before it; the last iterate comes back
+persisted, for the caller to ``unpersist()``.
 """
 from __future__ import annotations
 
@@ -20,7 +24,16 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.linops.ops import add, cls_cols, matmul_small, onehot_df, spmm
+from repro.linops.ops import (
+    add,
+    cls_cols,
+    iterate,
+    materialize,
+    matmul_small,
+    onehot_df,
+    release,
+    spmm,
+)
 
 __all__ = ["linbp_propagate", "predict_labels", "accuracy_spark", "effective_h"]
 
@@ -48,27 +61,20 @@ def linbp_propagate(
     rho_w: float,
     s: float = 0.5,
     iters: int = 10,
-    checkpoint_every: int = 5,
 ) -> DataFrame:
-    """Run LinBP for ``iters`` rounds; returns the belief frame
-    ``(node, c0..c{k-1})`` over every node reached by propagation."""
+    """Run LinBP for ``iters >= 1`` rounds; returns the persisted belief frame
+    ``(node, c0..c{k-1})`` over every node reached by propagation (free it
+    with ``unpersist()``)."""
     k = H.shape[0]
     Heff = effective_h(H, rho_w, s=s)
-    X = onehot_df(seed_labels, k, centered=True).persist()
-    X.count()
-    Fdf = X
-    for i in range(iters):
-        msg = matmul_small(spmm(edges, Fdf, k), Heff)
-        nxt = add(X, msg, k).persist()
-        nxt.count()  # materialize before dropping the previous iterate
-        if Fdf is not X:
-            Fdf.unpersist()
-        Fdf = nxt
-        if (i + 1) % checkpoint_every == 0:
-            Fdf = Fdf.localCheckpoint()  # eager: materialized before the release
-            nxt.unpersist()
-    X.unpersist()
-    return Fdf
+    X = materialize(onehot_df(seed_labels, k, centered=True))
+
+    def step(Fdf: DataFrame) -> DataFrame:
+        return add(X, matmul_small(spmm(edges, Fdf, k), Heff), k)
+
+    beliefs = iterate(step, X, iters)
+    release(X)
+    return beliefs
 
 
 def predict_labels(beliefs: DataFrame, k: int) -> DataFrame:

@@ -15,7 +15,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.edges import degrees_df
-from repro.linops.ops import add, cls_cols, onehot_df
+from repro.linops.ops import add, cls_cols, iterate, materialize, onehot_df, release
 from repro.propagation.linbp import linbp_propagate
 
 __all__ = ["homophily_propagate", "random_walk_propagate"]
@@ -46,22 +46,23 @@ def random_walk_propagate(
 ) -> DataFrame:
     """MultiRankWalk (paper Eq 3): ``F <- (1-alpha) U + alpha W_col F`` with
     one personalized walk per class. ``W_col`` is the column-normalized
-    adjacency, i.e. messages are divided by the *sender's* degree."""
-    deg = degrees_df(edges).persist()
+    adjacency, i.e. messages are divided by the *sender's* degree. The loop
+    is ``repro.linops.ops.iterate`` (one-leaf plan per step); the returned
+    frame is persisted, for the caller to ``unpersist()``."""
+    deg = materialize(degrees_df(edges))
     U = onehot_df(seed_labels, k)
     # Normalize each class column of U to sum 1 (teleport distributions).
     cols = cls_cols(k)
     sums = U.agg(*[F.sum(c).alias(c) for c in cols]).first()
-    U = U.select(
+    U = materialize(U.select(
         "node",
         *[
             (F.col(c) / F.lit(float(sums[c]) if sums[c] else 1.0)).alias(c)
             for c in cols
         ],
-    ).persist()
-    U.count()
-    Fdf = U
-    for i in range(iters):
+    ))
+
+    def step(Fdf: DataFrame) -> DataFrame:
         # Divide sender rows by degree, then aggregate over neighbors.
         sender = (
             Fdf.join(deg, on="node")
@@ -72,14 +73,9 @@ def random_walk_propagate(
             .groupBy(edges["src"].alias("node"))
             .agg(*[F.sum(c).alias(c) for c in cols])
         )
-        nxt = add(U, agg, k, ca=(1.0 - alpha), cb=alpha).persist()
-        nxt.count()
-        if Fdf is not U:
-            Fdf.unpersist()
-        Fdf = nxt
-        if (i + 1) % 5 == 0:
-            Fdf = Fdf.localCheckpoint()  # eager: materialized before the release
-            nxt.unpersist()
-    U.unpersist()
-    deg.unpersist()
-    return Fdf
+        return add(U, agg, k, ca=(1.0 - alpha), cb=alpha)
+
+    beliefs = iterate(step, U, iters)
+    release(U)
+    release(deg)
+    return beliefs

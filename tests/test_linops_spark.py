@@ -13,8 +13,11 @@ from repro.linops.ops import (
     add,
     cls_cols,
     from_numpy_frame,
+    iterate,
+    materialize,
     matmul_small,
     onehot_df,
+    release,
     scale_rows,
     spmm,
     to_numpy_frame,
@@ -188,3 +191,51 @@ def test_spmm_two_hops_vs_duckdb_oracle(tiny_spark, spark):
         edges=tiny_spark.edges_pdf,
         x=X.toPandas(),
     )
+
+
+def _persistent_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+def _plan_leaves(df) -> int:
+    return df._jdf.queryExecution().logical().collectLeaves().size()
+
+
+def test_materialize_keeps_rows_and_cuts_lineage(tiny_spark, spark):
+    k, n = tiny_spark.k, tiny_spark.n
+    X = from_numpy_frame(spark, tiny_spark.X_seed)
+    N = spmm(tiny_spark.edges, spmm(tiny_spark.edges, X, k), k)
+    assert _plan_leaves(N) > 1
+    before = _persistent_rdds(spark)
+    M = materialize(N)
+    assert _plan_leaves(M) == 1
+    assert np.array_equal(to_numpy_frame(M, n, k), to_numpy_frame(N, n, k))
+    assert _persistent_rdds(spark) == before + 1
+    release(M)
+    assert _persistent_rdds(spark) == before
+
+
+def test_unpersist_leaves_a_local_checkpoint_persisted(spark):
+    """Pins the PySpark behaviour ``release`` exists for: ``unpersist()`` on
+    a local checkpoint frees nothing. If an upgrade changes that, this fails
+    and ``release`` can become a plain ``unpersist()``."""
+    before = _persistent_rdds(spark)
+    cp = spark.range(10).localCheckpoint()
+    assert _persistent_rdds(spark) == before + 1
+    cp.unpersist()
+    assert _persistent_rdds(spark) == before + 1
+    release(cp)
+    assert _persistent_rdds(spark) == before
+
+
+def test_iterate_applies_step_and_frees_iterates(spark):
+    start = materialize(spark.range(5).selectExpr("id AS node", "CAST(id AS DOUBLE) AS c0"))
+    before = _persistent_rdds(spark)
+    out = iterate(lambda df: df.select("node", (F.col("c0") * 2.0).alias("c0")), start, 4)
+    assert out.is_cached
+    assert sorted(r["c0"] for r in out.collect()) == [16.0 * i for i in range(5)]
+    out.unpersist()
+    assert _persistent_rdds(spark) == before
+    with pytest.raises(ValueError):
+        iterate(lambda df: df, start, 0)
+    release(start)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import reference as R
+from repro.core import sketch
 from repro.core.compat import skew_H
 from repro.core.gradient import dce_weights
 from repro.core.sketch import build_sketches, explicit_power_m
@@ -45,6 +46,34 @@ def test_full_sketches_match_numpy(tiny_spark, sketches_full):
     for ell, N in enumerate(frames):
         M_ref = R.m_matrix(tiny_spark.X_seed, N)
         assert np.allclose(sketches_full.M[ell], M_ref), f"l={ell+1}"
+
+
+def test_deep_nb_recurrence_matches_numpy_on_one_leaf_plans(tiny_spark, monkeypatch):
+    """ell_max=8: the Spark recurrence still matches the numpy reference
+    (rtol, since the counts grow as d^l), and every level frame it reads
+    plans as a single leaf however deep the recurrence goes."""
+    leaves = []
+    xtn = sketch.xtn
+
+    def recording_xtn(labels, N, k):
+        leaves.append(N._jdf.queryExecution().logical().collectLeaves().size())
+        return xtn(labels, N, k)
+
+    monkeypatch.setattr(sketch, "xtn", recording_xtn)
+    sk = build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k, ell_max=8)
+    frames = R.nb_n_frames(tiny_spark.src, tiny_spark.dst, tiny_spark.X_seed, 8)
+    for ell, N in enumerate(frames):
+        M_ref = R.m_matrix(tiny_spark.X_seed, N)
+        assert np.allclose(sk.M[ell], M_ref, rtol=1e-12, atol=0), f"l={ell+1}"
+    assert leaves == [1] * 8
+
+
+def test_build_sketches_releases_its_frames(tiny_spark, spark):
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    for nb in (True, False):
+        build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k, ell_max=4, nb=nb)
+        assert persistent().size() == before, f"nb={nb}"
 
 
 def test_p_matrices_are_row_normalized(sketches_nb):

@@ -15,6 +15,13 @@ def test_spark_matches_numpy(tiny_spark):
     assert rho_sp == pytest.approx(rho_np, rel=0.02)
 
 
+def test_spark_releases_its_iterates(tiny_spark, spark):
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    spectral_radius_spark(tiny_spark.edges, iters=5)
+    assert persistent().size() == before
+
+
 def test_spark_ring_graph(spark):
     import pandas as pd
 
