@@ -1,47 +1,5 @@
-"""Shared spark-submit bootstrap for the table jobs.
+"""``get_spark`` under the name the benchmark runner (``pipebench/run.py``)
+loads from this file; the factory itself is ``repro.session.get_spark``."""
+from repro.session import get_spark
 
-Each job is ``python jobs/tN_*.py`` (or spark-submit): it builds the session
-the same way conftest.py does, runs one table driver from
-``repro.experiments.tables``, prints the rows the paper reports, and writes
-them as CSV next to the job under ``results/``.
-"""
-from __future__ import annotations
-
-import os
-import sys
-from pathlib import Path
-
-import pandas as pd
-
-
-def get_spark():
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '16g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    spark = (
-        SparkSession.builder.appName("repro-job")
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    spark.sparkContext.setLogLevel("ERROR")
-    return spark
-
-
-def emit(name: str, df: pd.DataFrame) -> None:
-    pd.set_option("display.width", 200)
-    pd.set_option("display.max_rows", 500)
-    print(f"\n=== {name} ===")
-    print(df.to_string(index=False))
-    out = Path(__file__).resolve().parent / "results"
-    out.mkdir(exist_ok=True)
-    df.to_csv(out / f"{name}.csv", index=False)
-    print(f"[written {out / (name + '.csv')}]", file=sys.stderr)
+__all__ = ["get_spark"]

@@ -32,7 +32,7 @@ from repro.graphs.generator import PlantedGraph
 from repro.propagation.linbp import accuracy_spark, linbp_propagate, predict_labels
 from repro.propagation.rwalk import homophily_propagate, random_walk_propagate
 
-__all__ = ["PreparedGraph", "prepare", "run_trial", "DEFAULT_METHODS"]
+__all__ = ["PreparedGraph", "prepare", "score", "run_trial", "DEFAULT_METHODS"]
 
 DEFAULT_METHODS = ("gs", "dcer", "dce", "mce", "lce", "random")
 
@@ -76,6 +76,15 @@ def prepare(
         g=g, f=f, edges=edges, all_labels=all_labels, seeds=seeds,
         n_seeds=len(seeds_pdf), rho_w=rho_w, gs_H=gs.H,
     )
+
+
+def score(prep: PreparedGraph, beliefs: DataFrame) -> float:
+    """Accuracy of the argmax labels of ``beliefs`` over the non-seed nodes;
+    frees ``beliefs``."""
+    acc = accuracy_spark(predict_labels(beliefs, prep.g.k), prep.all_labels,
+                         prep.seeds)
+    beliefs.unpersist()
+    return acc
 
 
 def _estimate(prep: PreparedGraph, method: str, *, ell_max: int, lam: float,
@@ -127,39 +136,31 @@ def run_trial(
             rng = np.random.default_rng(seed)
             pred_np = rng.integers(0, k, prep.g.n)
             acc = reference.accuracy(pred_np, truth_np, exclude=seed_nodes)
-            rows.append(dict(method=method, acc=acc, l2_gs=np.nan,
-                             est_time=0.0, sketch_time=0.0, opt_time=0.0,
-                             prop_time=0.0))
-            continue
-        if method in ("homophily", "rwalk"):
+            prop_time = 0.0
+        else:
             if method == "homophily":
                 beliefs = homophily_propagate(
                     prep.edges, prep.seeds, k, rho_w=prep.rho_w, s=s,
                     iters=prop_iters,
                 )
-            else:
+            elif method == "rwalk":
                 beliefs = random_walk_propagate(
                     prep.edges, prep.seeds, k, iters=prop_iters
                 )
-            pred = predict_labels(beliefs, k)
-            acc = accuracy_spark(pred, prep.all_labels, prep.seeds)
-            beliefs.unpersist()
-            rows.append(dict(method=method, acc=acc, l2_gs=np.nan,
-                             est_time=0.0, sketch_time=0.0, opt_time=0.0,
-                             prop_time=time.perf_counter() - t0))
-            continue
-        beliefs = linbp_propagate(
-            prep.edges, prep.seeds, est.H, rho_w=prep.rho_w, s=s,
-            iters=prop_iters,
-        )
-        pred = predict_labels(beliefs, k)
-        acc = accuracy_spark(pred, prep.all_labels, prep.seeds)
-        beliefs.unpersist()
+            else:
+                beliefs = linbp_propagate(
+                    prep.edges, prep.seeds, est.H, rho_w=prep.rho_w, s=s,
+                    iters=prop_iters,
+                )
+            acc = score(prep, beliefs)
+            prop_time = time.perf_counter() - t0
         rows.append(dict(
             method=method, acc=acc,
-            l2_gs=compat.l2_distance(est.H, prep.gs_H),
-            est_time=est.total_time, sketch_time=est.sketch_time,
-            opt_time=est.opt_time, prop_time=time.perf_counter() - t0,
+            l2_gs=compat.l2_distance(est.H, prep.gs_H) if est else np.nan,
+            est_time=est.total_time if est else 0.0,
+            sketch_time=est.sketch_time if est else 0.0,
+            opt_time=est.opt_time if est else 0.0,
+            prop_time=prop_time,
         ))
     out = pd.DataFrame(rows)
     out.insert(0, "f", prep.f)

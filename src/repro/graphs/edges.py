@@ -45,9 +45,7 @@ def degrees_df(edges: DataFrame) -> DataFrame:
     )
 
 
-def sample_seeds(
-    labels_pdf: pd.DataFrame, f: float, *, seed: int = 0, stratified: bool = True
-) -> pd.DataFrame:
+def sample_seeds(labels_pdf: pd.DataFrame, f: float, *, seed: int = 0) -> pd.DataFrame:
     """Sample a fraction ``f`` of labeled nodes as seeds.
 
     The paper samples a *stratified* fraction (classes in proportion to their
@@ -56,10 +54,6 @@ def sample_seeds(
     "8 labeled nodes in a 10k graph with k=3" setup.
     """
     rng = np.random.default_rng(seed)
-    if not stratified:
-        n_pick = max(1, int(round(f * len(labels_pdf))))
-        idx = rng.choice(len(labels_pdf), size=n_pick, replace=False)
-        return labels_pdf.iloc[idx].reset_index(drop=True)
     parts = []
     for _, grp in labels_pdf.groupby("label"):
         n_pick = max(1, int(round(f * len(grp))))

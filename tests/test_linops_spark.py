@@ -44,11 +44,35 @@ def test_degrees_vs_numpy(tiny_spark):
     assert len(got) == int((ref > 0).sum())
 
 
+DEGREES_SQL = "SELECT src AS node, CAST(COUNT(*) AS DOUBLE) AS deg FROM edges GROUP BY src"
+
+
 def test_degrees_vs_duckdb_oracle(tiny_spark):
+    assert_equivalent(degrees_df(tiny_spark.edges), DEGREES_SQL, edges=tiny_spark.edges_pdf)
+
+
+def test_oracle_detects_wrong_result(tiny_spark):
+    wrong = degrees_df(tiny_spark.edges).withColumn("deg", F.col("deg") + 1)
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, DEGREES_SQL, edges=tiny_spark.edges_pdf)
+
+
+def test_oracle_detects_column_mismatch(tiny_spark):
+    renamed = degrees_df(tiny_spark.edges).withColumnRenamed("deg", "degree")
+    with pytest.raises(AssertionError, match="column mismatch"):
+        assert_equivalent(renamed, DEGREES_SQL, edges=tiny_spark.edges_pdf)
+
+
+def test_oracle_accepts_spark_and_pandas_tables(tiny_spark):
+    # The same edge list registered once from Spark and once from pandas:
+    # the self-join keeps every edge exactly once only if both hold it.
     assert_equivalent(
         degrees_df(tiny_spark.edges),
-        "SELECT src AS node, CAST(COUNT(*) AS DOUBLE) AS deg FROM edges GROUP BY src",
-        edges=tiny_spark.edges_pdf,
+        """
+        SELECT a.src AS node, CAST(COUNT(*) AS DOUBLE) AS deg
+        FROM a JOIN b ON a.src = b.src AND a.dst = b.dst GROUP BY a.src
+        """,
+        a=tiny_spark.edges, b=tiny_spark.edges_pdf,
     )
 
 

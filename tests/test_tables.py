@@ -7,7 +7,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.compat import skew_H
 from repro.experiments import tables
+from repro.graphs.generator import planted_graph
 
 
 pytestmark = pytest.mark.tables
@@ -65,3 +67,19 @@ def test_t12_l2_schema(spark):
     assert len(df) == 8 * 4
     assert (df["l2"] >= 0).all()
     assert np.isfinite(df["l2"]).all()
+
+
+def test_sweep_releases_prepared_graph_on_error(spark):
+    # A graph no other test lifts: persisting a plan that is already cached
+    # would reuse that cache instead of adding an RDD.
+    g = planted_graph(200, 800, [1 / 3] * 3, skew_H(3, 3.0), seed=404)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+
+    def body(prep, case):
+        assert persistent().size() > before  # prepare cached the edges
+        raise RuntimeError("body failed")
+
+    with pytest.raises(RuntimeError, match="body failed"):
+        tables._sweep(spark, [tables._Case({}, g, (0.2,), 0)], body)
+    assert persistent().size() == before
