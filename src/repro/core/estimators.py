@@ -32,6 +32,7 @@ from repro.core.gradient import dce_energy, dce_gradient, dce_weights, structure
 from repro.core.optimize import OptResult, gradient_descent, nelder_mead
 from repro.core.sketch import GraphSketches, build_sketches
 from repro.linops.ops import cls_cols, onehot_df, spmm, xtn
+from repro.reference import normalize_m
 
 __all__ = [
     "EstimationResult",
@@ -72,6 +73,15 @@ def gold_standard(edges: DataFrame, all_labels: DataFrame, k: int) -> Estimation
     )
 
 
+def _statistics(sketches: GraphSketches, ell_max: int, variant: int) -> list[np.ndarray]:
+    """``P^(1..ell_max)`` under normalization ``variant``: the sketches' own
+    statistics when they were built with that variant, else the raw ``M``
+    (which does not depend on the variant) normalized again."""
+    if sketches.variant == variant:
+        return sketches.P[:ell_max]
+    return [normalize_m(M, variant) for M in sketches.M[:ell_max]]
+
+
 def _minimize_energy(
     P: list[np.ndarray], w: np.ndarray, k: int, starts: list[np.ndarray]
 ) -> tuple[OptResult, dict]:
@@ -102,19 +112,13 @@ def mce(
     t0 = time.perf_counter()
     if sketches is None:
         sketches = build_sketches(edges, seed_labels, k, ell_max=1, nb=True, variant=variant)
-    P1 = sketches.P[0] if sketches.variant == variant else _renorm(sketches, 1, variant)
+    P = _statistics(sketches, 1, variant)
     t1 = time.perf_counter()
-    best, extra = _minimize_energy([P1], np.ones(1), k, [compat.uniform_h(k)])
+    best, extra = _minimize_energy(P, np.ones(1), k, [compat.uniform_h(k)])
     return EstimationResult(
         H=compat.h_to_H(best.x, k), method=f"mce_v{variant}", sketch_time=t1 - t0,
         opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
     )
-
-
-def _renorm(sk: GraphSketches, ell: int, variant: int) -> np.ndarray:
-    from repro.reference import normalize_m
-
-    return normalize_m(sk.M[ell - 1], variant)
 
 
 def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
@@ -195,10 +199,10 @@ def dce(
     t0 = time.perf_counter()
     if sketches is None:
         sketches = build_sketches(edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant)
+    P = _statistics(sketches, ell_max, variant)
     t1 = time.perf_counter()
     best, extra = _minimize_energy(
-        sketches.P[:ell_max], dce_weights(lam, ell_max), k,
-        [compat.uniform_h(k) if h0 is None else h0],
+        P, dce_weights(lam, ell_max), k, [compat.uniform_h(k) if h0 is None else h0]
     )
     return EstimationResult(
         H=compat.h_to_H(best.x, k), method="dce", sketch_time=t1 - t0,
@@ -253,7 +257,7 @@ def dcer(
     t0 = time.perf_counter()
     if sketches is None:
         sketches = build_sketches(edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant)
-    P = sketches.P[:ell_max]
+    P = _statistics(sketches, ell_max, variant)
     t1 = time.perf_counter()
     starts = restart_points(k, restarts, seed=seed)
     if restarts >= 2:

@@ -3,8 +3,8 @@
 Each ``table_tN`` function runs the experiment behind one evaluation artifact
 of the paper and returns a pandas DataFrame whose rows mirror what the paper
 reports. The defaults are the sizes EXPERIMENTS.md reports
-(``python jobs/run.py <stem>`` runs them); ``benchmarks/`` times the core
-loops.
+(``python jobs/run.py <stem>`` runs them); ``pipebench/`` times the whole
+pipeline layer by layer.
 
 Every driver follows the Section 5 protocol through one loop, ``_sweep``:
 generate a graph, prepare it at each label fraction f, run the driver's body
@@ -371,10 +371,11 @@ def table_t9(
     H = compat.skew_H(k, h)
 
     def body(prep, case):
+        # One sketch serves every variant: M does not depend on it, and dcer
+        # normalizes M by the variant it is given.
+        sk = build_sketches(prep.edges, prep.seeds, k, ell_max=max(ell_maxes), nb=True)
         rows = []
         for variant in (1, 2, 3):
-            sk = build_sketches(prep.edges, prep.seeds, k,
-                                ell_max=max(ell_maxes), nb=True, variant=variant)
             for em in ell_maxes:
                 est = dcer(prep.edges, prep.seeds, k, ell_max=em, restarts=10,
                            seed=case.seed, sketches=sk, variant=variant)

@@ -25,8 +25,14 @@ __all__ = [
 
 def to_spark_edges(spark: SparkSession, edges_pdf: pd.DataFrame) -> DataFrame:
     """Lift a unique undirected edge list (src < dst) to a symmetric Spark
-    edges DataFrame (both directions, deduplicated)."""
+    edges DataFrame (both directions, deduplicated). Raises ``ValueError`` on
+    a self-loop, which the non-backtracking ``(D - I)`` term does not allow
+    for, and on a negative node id."""
     pdf = edges_pdf[["src", "dst"]].astype("int64")
+    if (pdf["src"] == pdf["dst"]).any():
+        raise ValueError("edge list has a self-loop")
+    if (pdf.to_numpy() < 0).any():
+        raise ValueError("edge list has a negative node id")
     both = pd.concat(
         [pdf, pdf.rename(columns={"src": "dst", "dst": "src"})[["src", "dst"]]],
         ignore_index=True,

@@ -15,7 +15,16 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.edges import degrees_df
-from repro.linops.ops import add, cls_cols, iterate, materialize, onehot_df, release
+from repro.linops.ops import (
+    add,
+    cls_cols,
+    iterate,
+    materialize,
+    onehot_df,
+    release,
+    scale_rows,
+    spmm,
+)
 from repro.propagation.linbp import linbp_propagate
 
 __all__ = ["homophily_propagate", "random_walk_propagate"]
@@ -46,10 +55,13 @@ def random_walk_propagate(
 ) -> DataFrame:
     """MultiRankWalk (paper Eq 3): ``F <- (1-alpha) U + alpha W_col F`` with
     one personalized walk per class. ``W_col`` is the column-normalized
-    adjacency, i.e. messages are divided by the *sender's* degree. The loop
-    is ``repro.linops.ops.iterate`` (one-leaf plan per step); the returned
-    frame is persisted, for the caller to ``unpersist()``."""
-    deg = materialize(degrees_df(edges))
+    adjacency, i.e. messages are divided by the *sender's* degree:
+    ``W_col F = W (D^-1 F)``. The loop is ``repro.linops.ops.iterate``
+    (one-leaf plan per step); the returned frame is persisted, for the caller
+    to ``unpersist()``."""
+    inv_deg = materialize(
+        degrees_df(edges).select("node", (1.0 / F.col("deg")).alias("deg"))
+    )
     U = onehot_df(seed_labels, k)
     # Normalize each class column of U to sum 1 (teleport distributions).
     cols = cls_cols(k)
@@ -63,19 +75,10 @@ def random_walk_propagate(
     ))
 
     def step(Fdf: DataFrame) -> DataFrame:
-        # Divide sender rows by degree, then aggregate over neighbors.
-        sender = (
-            Fdf.join(deg, on="node")
-            .select("node", *[(F.col(c) / F.col("deg")).alias(c) for c in cols])
-        )
-        agg = (
-            edges.join(sender, edges["dst"] == sender["node"], "inner")
-            .groupBy(edges["src"].alias("node"))
-            .agg(*[F.sum(c).alias(c) for c in cols])
-        )
-        return add(U, agg, k, ca=(1.0 - alpha), cb=alpha)
+        return add(U, spmm(edges, scale_rows(Fdf, inv_deg, k), k), k,
+                   ca=(1.0 - alpha), cb=alpha)
 
     beliefs = iterate(step, U, iters)
     release(U)
-    release(deg)
+    release(inv_deg)
     return beliefs

@@ -24,6 +24,7 @@ __all__ = [
     "normalize_m",
     "nb_path_counts_bruteforce",
     "linbp",
+    "random_walk",
     "power_iteration_rho",
     "labels_from_beliefs",
     "accuracy",
@@ -189,6 +190,23 @@ def linbp(
     F = X.copy()
     for _ in range(iters):
         F = X + spmm(src, dst, F) @ Heff
+    return F
+
+
+def random_walk(src, dst, seed_labels, n: int, k: int, *, alpha: float = 0.85,
+                iters: int = 10) -> np.ndarray:
+    """Reference MultiRankWalk (paper Eq 3): ``F <- (1-alpha) U + alpha W_col F``
+    from ``F = U``, with ``W_col = W D^-1`` the column-normalized adjacency and
+    U the seed one-hot matrix with each class column normalized to sum 1 (a
+    class with no seeds keeps a zero column)."""
+    U = onehot(seed_labels, n, k)
+    sums = U.sum(axis=0)
+    U = U / np.where(sums > 0, sums, 1.0)
+    d = degrees(src, n)[:, None]
+    F = U
+    for _ in range(iters):
+        sent = np.divide(F, d, out=np.zeros_like(F), where=d > 0)
+        F = (1.0 - alpha) * U + alpha * spmm(src, dst, sent)
     return F
 
 

@@ -1,5 +1,6 @@
 """Tests for the full estimator ladder (GS, MCE, LCE, DCE, DCEr, Holdout,
-heuristic) on small Spark graphs."""
+heuristic) on small Spark graphs, and the paper-shape checks of T3, T7, T8,
+T11 and T12 (see DESIGN.md Section 5)."""
 from __future__ import annotations
 
 import numpy as np
@@ -17,6 +18,8 @@ from repro.core.estimators import (
     mce,
 )
 from repro.core.sketch import build_sketches
+from repro.datasets import make_analog
+from repro.experiments.harness import prepare
 from repro.graphs.edges import sample_seeds, to_spark_edges, to_spark_labels
 from repro.graphs.generator import planted_graph
 
@@ -201,3 +204,90 @@ def test_estimation_then_propagation_matches_gs_accuracy(est_graph, est_sketches
         bel.unpersist()
     assert accs["gs"] > 0.85
     assert abs(accs["dcer"] - accs["gs"]) < 0.05
+
+
+@pytest.fixture(scope="module")
+def deep_v3_sketches(est_graph):
+    """Eight NB levels normalized by variant 3; ``M`` does not depend on the
+    variant, so these also serve variant-1 checks through ``M``."""
+    return build_sketches(est_graph["edges"], est_graph["seeds"], 3, ell_max=8,
+                          nb=True, variant=3)
+
+
+def test_sketches_of_another_variant_are_renormalized(est_graph, est_sketches,
+                                                      deep_v3_sketches):
+    """Variant-1 sketches give the same variant-3 estimate as variant-3
+    sketches."""
+    args = (est_graph["edges"], est_graph["seeds"], 3)
+    for est, kw in ((dce, {}), (dcer, dict(restarts=2, seed=0))):
+        from_v1 = est(*args, sketches=est_sketches, variant=3, **kw)
+        from_v3 = est(*args, sketches=deep_v3_sketches, variant=3, **kw)
+        assert np.array_equal(from_v1.H, from_v3.H)
+        assert from_v1.energy == from_v3.energy
+
+
+def test_deep_nb_statistics_track_h_power(est_graph, deep_v3_sketches):
+    """Fig 5a (T3): the length-8 non-backtracking statistics (variant 1)
+    track H^8."""
+    P8 = R.normalize_m(deep_v3_sketches.M[7], 1)
+    true = np.linalg.matrix_power(est_graph["H"], 8)[0, 1]
+    assert abs(P8[0, 1] - true) < 0.2
+
+
+@pytest.fixture(scope="module")
+def lambda_grid(est_graph, est_sketches):
+    """DCEr (r = 10) on prebuilt sketches over Fig 6b-d's lambda x ell_max grid."""
+    return {
+        (lam, em): dcer(est_graph["edges"], est_graph["seeds"], 3, ell_max=em,
+                        lam=lam, restarts=10, seed=0, sketches=est_sketches)
+        for lam in (0.1, 1.0, 10.0, 100.0) for em in (1, 2, 3, 5)
+    }
+
+
+def test_recommended_lambda_is_competitive(est_graph, lambda_grid):
+    """Fig 6b-d (T8): the recommended (lambda = 10, ell_max = 5) is within 0.3
+    of the best L2 distance to H over the grid."""
+    l2 = {key: compat.l2_distance(est.H, est_graph["H"]) for key, est in lambda_grid.items()}
+    assert l2[(10.0, 5)] < min(l2.values()) + 0.3
+
+
+def test_restarts_are_cheap_on_prebuilt_sketches(est_graph, est_sketches, lambda_grid):
+    """Fig 6h (T7): step 2 never touches the graph, so DCEr on prebuilt
+    sketches takes seconds at most with r = 1 and with r = 10 restarts."""
+    one = dcer(est_graph["edges"], est_graph["seeds"], 3, restarts=1, seed=0,
+               sketches=est_sketches)
+    assert one.opt_time < 5.0
+    assert lambda_grid[(10.0, 5)].opt_time < 5.0  # r = 10 at the default lambda, ell_max
+
+
+@pytest.fixture(scope="module")
+def prop37(spark):
+    """The Prop-37 analog (k = 3, d ~ 69) at n = 600, with 5% labels."""
+    prep = prepare(spark, make_analog("prop37", seed=0, scale=0.05), 0.05, seed=0)
+    yield prep
+    prep.unpersist()
+
+
+@pytest.fixture(scope="module")
+def prop37_estimates(prop37):
+    args = (prop37.edges, prop37.seeds, prop37.g.k)
+    sk = build_sketches(*args, ell_max=5, nb=True)
+    return dict(mce=mce(*args, sketches=sk), lce=lce(*args), dce=dce(*args, sketches=sk),
+                dcer=dcer(*args, restarts=10, seed=0, sketches=sk))
+
+
+@pytest.mark.parametrize("method", ["mce", "lce", "dce", "dcer"])
+def test_l2_to_gold_standard_on_an_analog(prop37, prop37_estimates, method):
+    """Fig 14 (T12): every sketch-based estimator lands within L2 2.0 of GS."""
+    assert compat.l2_distance(prop37_estimates[method].H, prop37.gs_H) < 2.0
+
+
+def test_dcer_labels_the_prop37_analog(prop37, prop37_estimates):
+    """Fig 12 (T11): LinBP with the DCEr estimate labels the Prop-37 analog
+    with accuracy above 0.4. LinBP is the numpy mirror, which the Spark LinBP
+    equals (test_linbp_spark)."""
+    seeds = prop37.seeds.toPandas()
+    F = R.linbp(*prop37.g.coo(), list(zip(seeds.node, seeds.label)),
+                prop37_estimates["dcer"].H, prop37.g.n, rho_w=prop37.rho_w, iters=10)
+    acc = R.accuracy(R.labels_from_beliefs(F), prop37.g.truth(), exclude=set(seeds.node))
+    assert acc > 0.4

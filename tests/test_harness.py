@@ -1,6 +1,8 @@
 """End-to-end integration tests for the experiment harness (small scale)."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,12 @@ def test_run_trial_homophily_method(prep):
 def test_run_trial_includes_seed_counts(prep):
     df = run_trial(prep, ("random",), seed=0)
     assert int(df["n_seeds"].iloc[0]) == prep.n_seeds
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_prepare_rejects_label_outside_k(spark, label):
+    g = planted_graph(200, 800, [1 / 3] * 3, skew_H(3, 3.0), seed=5)
+    labels = g.labels.copy()
+    labels.loc[0, "label"] = label
+    with pytest.raises(ValueError, match="labels must lie in"):
+        prepare(spark, dataclasses.replace(g, labels=labels), 0.2)

@@ -8,7 +8,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import reference as R
-from repro.graphs.edges import degrees_df, validate_symmetric
+from repro.graphs.edges import degrees_df, to_spark_edges, validate_symmetric
 from repro.linops.ops import (
     add,
     cls_cols,
@@ -33,6 +33,15 @@ def test_cls_cols():
 
 def test_edges_symmetric(tiny_spark):
     assert validate_symmetric(tiny_spark.edges)
+
+
+@pytest.mark.parametrize("src, dst, match", [
+    ([0, 2], [1, 2], "self-loop"),
+    ([-1, 0], [1, 1], "negative node id"),
+], ids=["self-loop", "negative-id"])
+def test_to_spark_edges_rejects_malformed_edges(spark, src, dst, match):
+    with pytest.raises(ValueError, match=match):
+        to_spark_edges(spark, pd.DataFrame({"src": src, "dst": dst}))
 
 
 def test_degrees_vs_numpy(tiny_spark):

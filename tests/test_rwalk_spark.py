@@ -9,7 +9,7 @@ from repro import reference as R
 from repro.core.compat import skew_H
 from repro.graphs.edges import sample_seeds, to_spark_edges, to_spark_labels
 from repro.graphs.generator import planted_graph
-from repro.linops.ops import cls_cols
+from repro.linops.ops import cls_cols, to_numpy_frame
 from repro.propagation.linbp import accuracy_spark, predict_labels
 from repro.propagation.rwalk import homophily_propagate, random_walk_propagate
 
@@ -88,3 +88,13 @@ def test_random_walk_teleport_distributions_normalized(homo_graph, spark):
     assert np.isfinite(vals).all()
     assert (vals >= -1e-12).all()
     bel.unpersist()
+
+
+def test_random_walk_matches_numpy_beliefs(tiny_spark):
+    bel = random_walk_propagate(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k, iters=3)
+    got = to_numpy_frame(bel, tiny_spark.n, tiny_spark.k)
+    bel.unpersist()
+    seeds = dict(zip(tiny_spark.seeds_pdf.node, tiny_spark.seeds_pdf.label))
+    ref = R.random_walk(tiny_spark.src, tiny_spark.dst, seeds, tiny_spark.n, tiny_spark.k,
+                        iters=3)
+    assert np.allclose(got, ref, rtol=0, atol=1e-9)

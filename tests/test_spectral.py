@@ -43,3 +43,8 @@ def test_spark_star_graph(spark):
     pdf = pd.DataFrame({"src": [0] * 9, "dst": range(1, 10)})
     edges = to_spark_edges(spark, pdf)
     assert spectral_radius_spark(edges, iters=40) == pytest.approx(3.0, rel=1e-2)
+
+
+def test_spark_edgeless_graph(spark):
+    edges = spark.createDataFrame([], "src long, dst long")
+    assert spectral_radius_spark(edges, iters=1) == 0.0
