@@ -8,8 +8,8 @@ Submodules:
                    DataFrames: the graph summaries ``P_NB^(l)``.
 * ``gradient``   — DCE energy (Eq 13/14; MCE is ell_max = 1), its weights and
                    its explicit gradient (Prop 4.7).
-* ``optimize``   — from-scratch optimizers (gradient descent with Armijo line
-                   search, one call per start of the estimators' restart loop;
+* ``optimize``   — from-scratch optimizers (BFGS with Armijo line search,
+                   one call per start of the estimators' restart loop;
                    Nelder-Mead for the gradient-free Holdout baseline).
 * ``estimators`` — MCE / LCE / DCE / DCEr / Holdout / heuristic / gold standard;
                    MCE, DCE and DCEr share one restart loop.

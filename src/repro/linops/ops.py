@@ -114,7 +114,9 @@ def scale_rows(N: DataFrame, diag: DataFrame, k: int, *, offset: float = 0.0) ->
 def xtn(labels: DataFrame, N: DataFrame, k: int) -> np.ndarray:
     """``M = X^T N`` collected to a k x k numpy matrix: join the labeled nodes
     onto N, group by class, sum each channel. Classes with no labeled nodes
-    (or none reached) yield zero rows."""
+    (or none reached) yield zero rows. A label outside [0, k) on a node that
+    N reaches raises ``ValueError`` (checked on the collected rows, so it
+    costs no job)."""
     cols = cls_cols(k)
     rows = (
         labels.join(N, on="node", how="inner")
@@ -124,7 +126,10 @@ def xtn(labels: DataFrame, N: DataFrame, k: int) -> np.ndarray:
     )
     M = np.zeros((k, k))
     for r in rows:
-        M[int(r["label"])] = [r[c] for c in cols]
+        label = int(r["label"])
+        if not 0 <= label < k:
+            raise ValueError(f"seed label {label} outside [0, {k})")
+        M[label] = [r[c] for c in cols]
     return M
 
 

@@ -1,4 +1,8 @@
-"""Tests for the from-scratch optimizers (gradient descent + Nelder-Mead)."""
+"""Tests for the from-scratch optimizers (BFGS + Nelder-Mead).
+
+The ``test_gd_*`` tests predate BFGS: they checked the gradient descent it
+replaced and now check BFGS at the same bounds (``estimators`` still binds the
+step-2 solver as ``gradient_descent``)."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 
 from repro.core import compat
 from repro.core.gradient import dce_energy, dce_gradient
-from repro.core.optimize import gradient_descent, nelder_mead
+from repro.core.optimize import bfgs, nelder_mead
 
 
 def test_gd_quadratic():
@@ -14,7 +18,7 @@ def test_gd_quadratic():
     b = np.array([1.0, -1.0])
     fun = lambda x: 0.5 * x @ A @ x - b @ x
     grad = lambda x: A @ x - b
-    res = gradient_descent(fun, grad, np.zeros(2))
+    res = bfgs(fun, grad, np.zeros(2))
     assert res.converged
     assert np.allclose(res.x, np.linalg.solve(A, b), atol=1e-4)
 
@@ -22,7 +26,7 @@ def test_gd_quadratic():
 def test_gd_scalar_quartic():
     fun = lambda x: float((x[0] - 2.0) ** 4)
     grad = lambda x: np.array([4 * (x[0] - 2.0) ** 3])
-    res = gradient_descent(fun, grad, np.array([10.0]), max_iter=2000, tol=1e-14)
+    res = bfgs(fun, grad, np.array([10.0]), max_iter=2000, tol=1e-14)
     assert abs(res.x[0] - 2.0) < 1e-2
 
 
@@ -32,14 +36,14 @@ def test_gd_rosenbrock_descends():
         [-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)]
     )
     x0 = np.array([-1.2, 1.0])
-    res = gradient_descent(fun, grad, x0, max_iter=3000, tol=1e-14)
+    res = bfgs(fun, grad, x0, max_iter=3000, tol=1e-14)
     assert res.fun < fun(x0) * 1e-3
 
 
 def test_gd_already_at_minimum():
     fun = lambda x: float(x @ x)
     grad = lambda x: 2 * x
-    res = gradient_descent(fun, grad, np.zeros(3))
+    res = bfgs(fun, grad, np.zeros(3))
     assert res.converged and res.fun == 0.0
 
 
@@ -49,8 +53,8 @@ def test_gd_deterministic():
     A = A @ A.T + np.eye(4)
     fun = lambda x: 0.5 * x @ A @ x
     grad = lambda x: A @ x
-    r1 = gradient_descent(fun, grad, np.ones(4))
-    r2 = gradient_descent(fun, grad, np.ones(4))
+    r1 = bfgs(fun, grad, np.ones(4))
+    r2 = bfgs(fun, grad, np.ones(4))
     assert np.array_equal(r1.x, r2.x)
 
 
@@ -75,13 +79,13 @@ def test_nm_1d():
 
 
 def test_gd_recovers_H_from_exact_powers():
-    """DCE objective with exact H^l targets: GD from the uniform start must
+    """DCE objective with exact H^l targets: BFGS from the uniform start must
     recover H (the energy has a global minimum of 0 there)."""
     for k, h in [(2, 4.0), (3, 3.0), (3, 8.0), (4, 5.0)]:
         H = compat.skew_H(k, h)
         P = [np.linalg.matrix_power(H, ell) for ell in range(1, 6)]
         w = np.array([10.0**i for i in range(5)])
-        res = gradient_descent(
+        res = bfgs(
             lambda x: dce_energy(x, P, w, k),
             lambda x: dce_gradient(x, P, w, k),
             compat.uniform_h(k),
@@ -101,7 +105,7 @@ def test_gd_ell2_only_has_symmetric_ambiguity():
     H = compat.skew_H(k, 8.0)
     P = [np.linalg.matrix_power(H, 2)]
     w = np.array([1.0])
-    res = gradient_descent(
+    res = bfgs(
         lambda x: dce_energy(x, [np.linalg.matrix_power(H, 2)], w, k),
         lambda x: dce_gradient(x, [np.linalg.matrix_power(H, 2)], w, k),
         compat.uniform_h(k) + 0.01,

@@ -76,6 +76,16 @@ def test_build_sketches_releases_its_frames(tiny_spark, spark):
         assert persistent().size() == before, f"nb={nb}"
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_build_sketches_rejects_label_outside_k(tiny_spark, spark, label):
+    """A seed label outside [0, k) is an error, not a fold into class k-1 (a
+    label of -1) or an IndexError (a label of k)."""
+    seeds = tiny_spark.seeds_pdf.copy()
+    seeds.loc[seeds.index[0], "label"] = label
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        build_sketches(tiny_spark.edges, to_spark_labels(spark, seeds), tiny_spark.k, ell_max=1)
+
+
 def test_p_matrices_are_row_normalized(sketches_nb):
     for P in sketches_nb.P:
         assert np.allclose(P.sum(axis=1), 1.0)
