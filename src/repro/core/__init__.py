@@ -5,12 +5,13 @@ Submodules:
 * ``compat``     — parameterization of symmetric doubly-stochastic matrices
                    (Eq 6 as one affine map), skew-``h`` matrices, distances.
 * ``sketch``     — factorized path summation (Algorithm 4.4) over Spark
-                   DataFrames: the graph summaries ``P_NB^(l)``.
+                   DataFrames: the graph summaries ``M^(l)``, ``P^(l)``.
 * ``gradient``   — DCE energy (Eq 13/14; MCE is ell_max = 1), its weights and
                    its explicit gradient (Prop 4.7).
 * ``optimize``   — from-scratch optimizers (BFGS with Armijo line search,
                    one call per start of the estimators' restart loop;
                    Nelder-Mead for the gradient-free Holdout baseline).
 * ``estimators`` — MCE / LCE / DCE / DCEr / Holdout / heuristic / gold standard;
-                   MCE, DCE and DCEr share one restart loop.
+                   all but Holdout read the graph only through ``sketch``, and
+                   MCE, LCE, DCE and DCEr fit through one restart loop.
 """

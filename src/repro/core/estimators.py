@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import compat
 from repro.core.gradient import dce_energy, dce_gradient, dce_weights, structure_project
@@ -34,7 +34,6 @@ from repro.core.optimize import OptResult, nelder_mead
 # Bound under the name pipebench's tracing hooks patch for step 2.
 from repro.core.optimize import bfgs as gradient_descent
 from repro.core.sketch import GraphSketches, build_sketches
-from repro.linops.ops import cls_cols, onehot_df, spmm, xtn
 from repro.reference import normalize_m
 
 __all__ = [
@@ -76,40 +75,58 @@ def gold_standard(edges: DataFrame, all_labels: DataFrame, k: int) -> Estimation
     )
 
 
-def _statistics(sketches: GraphSketches, ell_max: int, variant: int) -> list[np.ndarray]:
-    """``P^(1..ell_max)`` under normalization ``variant``: the sketches' own
-    statistics when they were built with that variant, else the raw ``M``
-    (which does not depend on the variant) normalized again."""
-    if sketches.variant == variant:
-        return sketches.P[:ell_max]
-    return [normalize_m(M, variant) for M in sketches.M[:ell_max]]
-
-
-def _warn_unconverged(method: str, res: OptResult) -> None:
-    """Never use a step-2 result silently when its solver hit the iteration cap."""
-    if not res.converged:
-        warnings.warn(f"{method}: step 2 stopped at {res.nit} iterations without converging "
-                      f"(energy {res.fun:.6g}); the estimate is not at a minimum",
-                      RuntimeWarning, stacklevel=3)
-
-
-def _minimize_energy(
-    P: list[np.ndarray], w: np.ndarray, k: int, starts: list[np.ndarray]
-) -> tuple[OptResult, dict]:
-    """Step 2 of MCE, DCE and DCEr: minimize the DCE energy (Eq 13/14) from
-    each start; returns the first lowest-energy result and the per-start
-    records. ``extra["converged"]`` is the chosen start's flag, and a chosen
-    start that stopped at the iteration cap raises a ``RuntimeWarning``."""
-    runs = [gradient_descent(lambda h: dce_energy(h, P, w, k),
-                             lambda h: dce_gradient(h, P, w, k), h0) for h0 in starts]
+def _minimize_energy(method: str, energy: Callable, gradient: Callable,
+                     starts: list[np.ndarray]) -> tuple[OptResult, dict]:
+    """Step 2 of every sketch-based estimator: one solver call per start;
+    returns the first lowest-energy result and the per-start records.
+    ``extra["converged"]`` is the chosen start's flag, and this is the one
+    place that warns (``RuntimeWarning``) when that start stopped at the
+    iteration cap, so such an estimate is never used silently."""
+    runs = [gradient_descent(energy, gradient, h0) for h0 in starts]
     best = min(runs, key=lambda res: res.fun)
-    _warn_unconverged("DCE energy", best)
+    if not best.converged:
+        warnings.warn(f"{method}: step 2 stopped at {best.nit} iterations without converging "
+                      f"(energy {best.fun:.6g}); the estimate is not at a minimum",
+                      RuntimeWarning)
     return best, {
         "restart_energies": [res.fun for res in runs],
         "restart_nit": [res.nit for res in runs],
         "restart_converged": [res.converged for res in runs],
         "converged": best.converged,
     }
+
+
+def _two_step(method: str, k: int, sketch: Callable, objective: Callable) -> EstimationResult:
+    """The paper's two steps, timed apart: ``sketch()`` is step 1, the only
+    part that reads the graph, and ``objective(sketch())`` gives step 2's
+    energy, gradient and starts. The one place the split is measured and an
+    estimate is built."""
+    t0 = time.perf_counter()
+    sk = sketch()
+    t1 = time.perf_counter()
+    best, extra = _minimize_energy(method, *objective(sk))
+    return EstimationResult(
+        H=compat.h_to_H(best.x, k), method=method, sketch_time=t1 - t0,
+        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
+    )
+
+
+def _dce(edges: DataFrame, seed_labels: DataFrame, k: int, method: str, starts: Callable, *,
+         ell_max: int, lam: float, nb: bool, variant: int,
+         sketches: GraphSketches | None) -> EstimationResult:
+    """The core of MCE, DCE and DCEr: the DCE energy (Eq 13/14) on
+    ``P^(1..ell_max)`` of ``sketches`` (built when not given), minimized from
+    each of ``starts(sketches)``."""
+    def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
+        # The sketches' own statistics when they were built with this variant,
+        # else the raw M (which does not depend on the variant) normalized again.
+        P = (sk.P[:ell_max] if sk.variant == variant
+             else [normalize_m(M, variant) for M in sk.M[:ell_max]])
+        w = dce_weights(lam, ell_max)
+        return (lambda h: dce_energy(h, P, w, k)), (lambda h: dce_gradient(h, P, w, k)), starts(sk)
+
+    return _two_step(method, k, lambda: sketches or build_sketches(
+        edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant), objective)
 
 
 def mce(
@@ -123,16 +140,8 @@ def mce(
     """Myopic compatibility estimation (Eq 12): the closest symmetric
     doubly-stochastic matrix to the length-1 statistics, i.e. the DCE energy
     with ell_max = 1, from the uniform start."""
-    t0 = time.perf_counter()
-    if sketches is None:
-        sketches = build_sketches(edges, seed_labels, k, ell_max=1, nb=True, variant=variant)
-    P = _statistics(sketches, 1, variant)
-    t1 = time.perf_counter()
-    best, extra = _minimize_energy(P, np.ones(1), k, [compat.uniform_h(k)])
-    return EstimationResult(
-        H=compat.h_to_H(best.x, k), method=f"mce_v{variant}", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
-    )
+    return _dce(edges, seed_labels, k, f"mce_v{variant}", lambda sk: [compat.uniform_h(k)],
+                ell_max=1, lam=1.0, nb=True, variant=variant, sketches=sketches)
 
 
 def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
@@ -146,57 +155,37 @@ def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
     free scalar ``s`` absorb the magnitude and let H capture the pattern.
     Eliminating s* = sum(A∘H) / tr(H^T B H) analytically leaves
     ``E*(H) = const - sum(A∘H)^2 / tr(H^T B H)``
-    over the k x k sketches ``A = N^T X`` and ``B = N^T N``, so optimization
-    never re-touches the graph (the paper evaluated LCE unfactorized, which
-    is why its Fig 6k LCE line is far slower; see EXPERIMENTS.md)."""
-    t0 = time.perf_counter()
-    X = onehot_df(seed_labels, k)
-    N = spmm(edges, X, k).persist()
-    A = xtn(seed_labels, N, k).T  # N^T X  (xtn returns X^T N)
-    cols = cls_cols(k)
-    prods = (
-        N.agg(
-            *[
-                F.sum(F.col(cols[i]) * F.col(cols[j])).alias(f"b_{i}_{j}")
-                for i in range(k)
-                for j in range(i, k)
-            ]
-        ).first()
-    )
-    B = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            v = prods[f"b_{i}_{j}"] or 0.0
-            B[i, j] = B[j, i] = v
-    N.unpersist()
-    t1 = time.perf_counter()
+    over the k x k sketches ``A = N^T X`` and ``B = N^T N``. W is symmetric,
+    so these are the first two levels of the full-path sketch:
+    ``A = X^T W X = M^(1)`` and ``B = X^T W^2 X = M^(2)``. Optimization never
+    re-touches the graph (the paper evaluated LCE unfactorized, which is why
+    its Fig 6k LCE line is far slower; see EXPERIMENTS.md)."""
+    def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
+        A, B = sk.M
 
-    def energy(h: np.ndarray) -> float:
-        H = compat.h_to_H(h, k)
-        a = float(np.sum(A * H))
-        b = float(np.trace(H.T @ B @ H))
-        return 0.0 if b <= 0 else -(a * a) / b
+        def energy(h: np.ndarray) -> float:
+            H = compat.h_to_H(h, k)
+            a = float(np.sum(A * H))
+            b = float(np.trace(H.T @ B @ H))
+            return 0.0 if b <= 0 else -(a * a) / b
 
-    def grad(h: np.ndarray) -> np.ndarray:
-        H = compat.h_to_H(h, k)
-        a = float(np.sum(A * H))
-        b = float(np.trace(H.T @ B @ H))
-        if b <= 0:
-            return np.zeros_like(h)
-        dH = -(2.0 * a / b) * A + (2.0 * a * a / (b * b)) * (B @ H)
-        return structure_project(dH)
+        def grad(h: np.ndarray) -> np.ndarray:
+            H = compat.h_to_H(h, k)
+            a = float(np.sum(A * H))
+            b = float(np.trace(H.T @ B @ H))
+            if b <= 0:
+                return np.zeros_like(h)
+            dH = -(2.0 * a / b) * A + (2.0 * a * a / (b * b)) * (B @ H)
+            return structure_project(dH)
 
-    # The uniform matrix is a stationary saddle of the ratio objective
-    # (A and B are near-uniform there), so start from a slightly perturbed
-    # point; deterministic.
-    h0 = compat.uniform_h(k) + 1e-3 * (np.arange(compat.n_free_params(k)) % 3 - 1)
-    res = gradient_descent(energy, grad, h0)
-    _warn_unconverged("LCE", res)
-    return EstimationResult(
-        H=compat.h_to_H(res.x, k), method="lce", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=res.fun,
-        extra={"nit": res.nit, "converged": res.converged},
-    )
+        # The uniform matrix is a stationary saddle of the ratio objective
+        # (A and B are near-uniform there), so start from a slightly perturbed
+        # point; deterministic.
+        h0 = compat.uniform_h(k) + 1e-3 * (np.arange(compat.n_free_params(k)) % 3 - 1)
+        return energy, grad, [h0]
+
+    return _two_step("lce", k, lambda: build_sketches(edges, seed_labels, k, ell_max=2, nb=False),
+                     objective)
 
 
 def dce(
@@ -211,19 +200,11 @@ def dce(
     h0: np.ndarray | None = None,
     sketches: GraphSketches | None = None,
 ) -> EstimationResult:
-    """Distant compatibility estimation (Eq 13/14) from a single start."""
-    t0 = time.perf_counter()
-    if sketches is None:
-        sketches = build_sketches(edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant)
-    P = _statistics(sketches, ell_max, variant)
-    t1 = time.perf_counter()
-    best, extra = _minimize_energy(
-        P, dce_weights(lam, ell_max), k, [compat.uniform_h(k) if h0 is None else h0]
-    )
-    return EstimationResult(
-        H=compat.h_to_H(best.x, k), method="dce", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
-    )
+    """Distant compatibility estimation (Eq 13/14) from a single start (the
+    uniform point unless ``h0`` is given)."""
+    start = compat.uniform_h(k) if h0 is None else h0
+    return _dce(edges, seed_labels, k, "dce", lambda sk: [start], ell_max=ell_max, lam=lam,
+                nb=nb, variant=variant, sketches=sketches)
 
 
 def restart_points(k: int, r: int, *, seed: int = 0) -> list[np.ndarray]:
@@ -270,24 +251,20 @@ def dcer(
     The sketch phase dominates on large graphs, which is why DCE and DCEr
     cost the same there (paper Fig 6k). The starts are :func:`restart_points`,
     so there can be fewer than ``restarts`` (9 for k = 3, r = 10)."""
-    t0 = time.perf_counter()
-    if sketches is None:
-        sketches = build_sketches(edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant)
-    P = _statistics(sketches, ell_max, variant)
-    t1 = time.perf_counter()
-    starts = restart_points(k, restarts, seed=seed)
-    if restarts >= 2:
-        # One restart is the MCE warm start (the convex closest-DS fit to the
-        # length-1 statistics): for high k the random hyper-quadrant starts
-        # cover a vanishing fraction of the 2^k* quadrants, and warm-starting
-        # from the myopic solution keeps DCEr at least as good as MCE in the
-        # label-rich regime (paper Fig 6g's "DCEr stays ahead" shape).
-        starts[-1] = _minimize_energy([P[0]], np.ones(1), k, [compat.uniform_h(k)])[0].x
-    best, extra = _minimize_energy(P, dce_weights(lam, ell_max), k, starts)
-    return EstimationResult(
-        H=compat.h_to_H(best.x, k), method="dcer", sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
-    )
+    def starts(sk: GraphSketches) -> list[np.ndarray]:
+        pts = restart_points(k, restarts, seed=seed)
+        if restarts >= 2:
+            # One restart is the MCE estimate (the convex closest-DS fit to
+            # the length-1 statistics): for high k the random hyper-quadrant
+            # starts cover a vanishing fraction of the 2^k* quadrants, and
+            # warm-starting from the myopic solution keeps DCEr at least as
+            # good as MCE in the label-rich regime (paper Fig 6g's "DCEr stays
+            # ahead" shape).
+            pts[-1] = compat.H_to_h(mce(edges, seed_labels, k, variant=variant, sketches=sk).H)
+        return pts
+
+    return _dce(edges, seed_labels, k, "dcer", starts, ell_max=ell_max, lam=lam, nb=nb,
+                variant=variant, sketches=sketches)
 
 
 def holdout(

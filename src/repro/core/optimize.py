@@ -11,9 +11,8 @@ relies on are implemented here:
   are small (k* <= 55 parameters), so a dense k* x k* inverse-Hessian
   estimate is cheap. Plain gradient descent on the same energies stopped at
   its 2,000-iteration cap on every k = 11 restart, above the minimum BFGS
-  reaches in ~170 iterations (DESIGN.md Section 3). MCE, DCE and DCEr
-  reach it through one call site, ``estimators._minimize_energy``; LCE
-  calls it directly.
+  reaches in ~170 iterations (DESIGN.md Section 3). MCE, LCE, DCE and
+  DCEr reach it through one call site, ``estimators._minimize_energy``.
 * :func:`nelder_mead` — the gradient-free simplex method for the Holdout
   baseline, whose objective (negative propagation accuracy) is a step
   function with no gradient (the paper uses scipy's Nelder-Mead for exactly

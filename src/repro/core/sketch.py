@@ -4,7 +4,7 @@ Step 1 of the paper's two-step estimation: summarize the partially labeled
 graph into k x k statistics matrices ``P_hat^(l)`` for path lengths
 l = 1..ell_max, in O(m k ell_max), *never* materializing ``W^l``.
 
-* Full-path frames:          ``N^(l)   = W N^(l-1)``
+* Full-path frames:          ``N^(l)   = W N^(l-1)``,  ``N^(0) = X``
 * Non-backtracking frames:   ``N^(1)  = W X``
                              ``N^(2)  = W N^(1) - D X``
                              ``N^(l)  = W N^(l-1) - (D - I) N^(l-2)``   (Prop 4.3)
@@ -58,38 +58,33 @@ def build_sketches(
 
     ``edges`` is the symmetric edge DataFrame, ``labels`` the seed labels
     (node, label). Returns the k x k summaries only; all n x k intermediates
-    are materialized per step and released as the recurrence advances.
+    are materialized per step and released as the recurrence advances, and
+    all of them are released when a step raises.
     """
-    X = materialize(onehot_df(labels, k))
-    deg = materialize(degrees_df(edges))
     sk = GraphSketches(k=k, ell_max=ell_max, nb=nb, variant=variant)
-
+    deg = None  # the degrees, which only NB levels 2 and beyond read
     n_prev2: DataFrame | None = None  # N^(l-2)
-    n_prev: DataFrame | None = None  # N^(l-1)
-    for ell in range(1, ell_max + 1):
-        if ell == 1:
-            cur = spmm(edges, X, k)
-        elif not nb:
+    n_prev: DataFrame | None = None  # N^(l-1), from N^(0) = X
+    try:
+        n_prev = materialize(onehot_df(labels, k))
+        if nb and ell_max >= 2:
+            deg = materialize(degrees_df(edges))
+        for ell in range(1, ell_max + 1):
             cur = spmm(edges, n_prev, k)
-        elif ell == 2:
-            cur = add(spmm(edges, n_prev, k), scale_rows(X, deg, k), k, cb=-1.0)
-        else:
-            cur = add(
-                spmm(edges, n_prev, k),
-                scale_rows(n_prev2, deg, k, offset=-1.0),
-                k,
-                cb=-1.0,
-            )
-        cur = materialize(cur)
-        M = xtn(labels, cur, k)
-        sk.M.append(M)
-        sk.P.append(normalize_m(M, variant))
-        if n_prev2 is not None:
-            release(n_prev2)
-        n_prev2, n_prev = n_prev, cur
-    for df in (n_prev2, n_prev, X, deg):
-        if df is not None:
-            release(df)
+            if nb and ell >= 2:  # minus D X at l = 2, (D - I) N^(l-2) beyond
+                cur = add(cur, scale_rows(n_prev2, deg, k, offset=-1.0 if ell > 2 else 0.0),
+                          k, cb=-1.0)
+            cur = materialize(cur)
+            if n_prev2 is not None:
+                release(n_prev2)
+            n_prev2, n_prev = n_prev, cur
+            M = xtn(labels, cur, k)
+            sk.M.append(M)
+            sk.P.append(normalize_m(M, variant))
+    finally:
+        for df in (n_prev2, n_prev, deg):
+            if df is not None:
+                release(df)
     return sk
 
 

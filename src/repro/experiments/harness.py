@@ -62,10 +62,9 @@ def prepare(
     Raises ``ValueError`` on a label outside ``[0, k)`` (and, through
     ``to_spark_edges``, on a self-loop or a negative node id).
 
-    rho(W) comes from the numpy power iteration on the driver — it is one
-    scalar consumed by every propagation run; the Spark power iteration in
-    ``repro.linops.spectral`` computes the same value through the dataflow and
-    is cross-checked in tests."""
+    rho(W) comes from the numpy power iteration on the driver, as the paper
+    computes it on the driver with PyAMG: one scalar, consumed by every
+    propagation run."""
     if not g.labels["label"].between(0, g.k - 1).all():
         raise ValueError(f"labels must lie in [0, {g.k})")
     edges = to_spark_edges(spark, g.edges).persist()

@@ -10,12 +10,12 @@ joins).
 Absent rows mean all-zero rows; ``add`` reconciles them with outer joins +
 coalesce so sparsity is preserved through the recurrences.
 
-The recurrences (the sketch levels, LinBP, the random walk, power iteration)
-would otherwise grow their logical plan with every step: ``N^(l)`` reads both
-``N^(l-1)`` and ``N^(l-2)``, so the plan of level l carries every earlier
-level, and each action re-analyses that tree. ``materialize`` cuts the lineage
-at every step and ``release`` frees the frame a step replaced; ``iterate`` is
-the one loop built on the pair.
+The recurrences (the sketch levels, LinBP, the random walk) would otherwise
+grow their logical plan with every step: ``N^(l)`` reads both ``N^(l-1)`` and
+``N^(l-2)``, so the plan of level l carries every earlier level, and each
+action re-analyses that tree. ``materialize`` cuts the lineage at every step
+and ``release`` frees the frame a step replaced; ``iterate`` is the one loop
+built on the pair.
 """
 from __future__ import annotations
 
@@ -181,17 +181,20 @@ def iterate(step: Callable[[DataFrame], DataFrame], start: DataFrame, iters: int
     ``start`` once the caller frees it). That is safe because the default
     MEMORY_AND_DISK level spills its blocks instead of dropping them, so they
     are never recomputed. ``start``, and anything else ``step`` reads, stays
-    the caller's to release."""
+    the caller's to release. When a step raises, the iterate it read is
+    released before the error propagates."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     cur = start
-    for i in range(iters):
-        if i < iters - 1:
+    try:
+        for _ in range(iters - 1):
             nxt = materialize(step(cur))
-        else:
-            nxt = step(cur).persist()
-            nxt.count()
+            if cur is not start:
+                release(cur)
+            cur = nxt
+        last = step(cur).persist()
+        last.count()
+    finally:
         if cur is not start:
             release(cur)
-        cur = nxt
-    return cur
+    return last

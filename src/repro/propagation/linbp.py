@@ -72,9 +72,10 @@ def linbp_propagate(
     def step(Fdf: DataFrame) -> DataFrame:
         return add(X, matmul_small(spmm(edges, Fdf, k), Heff), k)
 
-    beliefs = iterate(step, X, iters)
-    release(X)
-    return beliefs
+    try:
+        return iterate(step, X, iters)
+    finally:
+        release(X)
 
 
 def predict_labels(beliefs: DataFrame, k: int) -> DataFrame:

@@ -78,7 +78,8 @@ def random_walk_propagate(
         return add(U, spmm(edges, scale_rows(Fdf, inv_deg, k), k), k,
                    ca=(1.0 - alpha), cb=alpha)
 
-    beliefs = iterate(step, U, iters)
-    release(U)
-    release(inv_deg)
-    return beliefs
+    try:
+        return iterate(step, U, iters)
+    finally:
+        release(U)
+        release(inv_deg)

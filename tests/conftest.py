@@ -30,28 +30,47 @@ def tiny_seeds(tiny_graph):
     return sample_seeds(tiny_graph.labels, 0.2, seed=1)
 
 
+def _lift(spark, g, seeds_pdf):
+    """``g`` lifted into Spark: symmetric edges (persisted), full labels, seed
+    labels, plus the matching numpy views for cross-checks."""
+    edges = to_spark_edges(spark, g.edges).persist()
+    edges.count()
+    src, dst = g.coo()
+    return SimpleNamespace(
+        g=g, edges=edges, all_labels=to_spark_labels(spark, g.labels),
+        seeds=to_spark_labels(spark, seeds_pdf), seeds_pdf=seeds_pdf, src=src, dst=dst,
+        X_full=R.onehot(dict(zip(g.labels.node, g.labels.label)), g.n, g.k),
+        X_seed=R.onehot(dict(zip(seeds_pdf.node, seeds_pdf.label)), g.n, g.k),
+        # Symmetric directed edge list as pandas, for the DuckDB oracle.
+        edges_pdf=pd.DataFrame({"src": src, "dst": dst}), k=g.k, n=g.n,
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_spark(spark, tiny_graph, tiny_seeds):
-    """The tiny graph lifted into Spark: symmetric edges (persisted), full
-    labels, seed labels, plus the matching numpy views for cross-checks."""
-    edges = to_spark_edges(spark, tiny_graph.edges).persist()
-    edges.count()
-    all_labels = to_spark_labels(spark, tiny_graph.labels)
-    seeds = to_spark_labels(spark, tiny_seeds)
-    src, dst = tiny_graph.coo()
-    X_full = R.onehot(dict(zip(tiny_graph.labels.node, tiny_graph.labels.label)),
-                      tiny_graph.n, tiny_graph.k)
-    X_seed = R.onehot(dict(zip(tiny_seeds.node, tiny_seeds.label)),
-                      tiny_graph.n, tiny_graph.k)
-    # Symmetric directed edge list as pandas, for the DuckDB oracle.
-    edges_pdf = pd.DataFrame({"src": src, "dst": dst})
-    ns = SimpleNamespace(
-        g=tiny_graph, edges=edges, all_labels=all_labels, seeds=seeds,
-        seeds_pdf=tiny_seeds, src=src, dst=dst, X_full=X_full, X_seed=X_seed,
-        edges_pdf=edges_pdf, k=tiny_graph.k, n=tiny_graph.n,
-    )
+    """The tiny graph lifted into Spark (see ``_lift``)."""
+    ns = _lift(spark, tiny_graph, tiny_seeds)
     yield ns
-    edges.unpersist()
+    ns.edges.unpersist()
+
+
+@pytest.fixture(scope="session")
+def edge_case_spark(spark):
+    """Two small graphs at the edges of the Spark ops' contracts, lifted like
+    ``tiny_spark``: a k=3 graph with four isolated nodes, one of them a seed
+    (absent from every join on the edges), and a bipartite k=2 graph (every
+    edge joins the two classes, so ``rho(W)`` has a twin ``-rho(W)``)."""
+    g = planted_graph(200, 800, [1 / 3] * 3, skew_H(3, 3.0), seed=8)
+    isolated = pd.DataFrame({"node": [200, 201, 202, 203], "label": [0, 1, 2, 0]})
+    seeds = pd.concat([sample_seeds(g.labels, 0.2, seed=1), isolated.iloc[:1]],
+                      ignore_index=True)
+    g.labels = pd.concat([g.labels, isolated], ignore_index=True)
+    g.n += len(isolated)
+    bip = planted_graph(200, 800, [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0]]), seed=9)
+    cases = [_lift(spark, g, seeds), _lift(spark, bip, sample_seeds(bip.labels, 0.2, seed=1))]
+    yield cases
+    for ns in cases:
+        ns.edges.unpersist()
 
 
 @pytest.fixture(scope="session")

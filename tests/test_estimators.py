@@ -3,6 +3,9 @@ heuristic) on small Spark graphs, and the paper-shape checks of T3, T7, T8,
 T11 and T12 (see DESIGN.md Section 5)."""
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.estimators import (
     holdout,
     lce,
     mce,
+    restart_points,
 )
 from repro.core.optimize import OptResult
 from repro.core.sketch import GraphSketches, build_sketches
@@ -85,6 +89,35 @@ def test_lce_recovers_pattern(est_graph):
     assert compat.l2_distance(est.H, est_graph["H"]) < 0.8
 
 
+def test_lce_statistics_match_numpy(tiny_spark, monkeypatch):
+    """LCE's sketches ``A = N^T X`` and ``B = N^T N`` (N = W X) are the
+    full-path ``M^(1)`` and ``M^(2)`` it builds, equal to the numpy reference,
+    and its H is a minimum of the ratio objective transcribed in numpy."""
+    built = []
+
+    def recording_build_sketches(*args, **kwargs):
+        built.append(build_sketches(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(estimators, "build_sketches", recording_build_sketches)
+    est = lce(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k)
+    X = tiny_spark.X_seed
+    N1, N2 = R.full_n_frames(tiny_spark.src, tiny_spark.dst, X, 2)
+    A, B = N1.T @ X, N1.T @ N1
+    (sk,) = built
+    assert np.array_equal(sk.M[0], R.m_matrix(X, N1)) and np.array_equal(sk.M[0], A)
+    assert np.array_equal(sk.M[1], R.m_matrix(X, N2)) and np.array_equal(sk.M[1], B)
+
+    def ratio(h):
+        H = compat.h_to_H(h, tiny_spark.k)
+        return -np.sum(A * H) ** 2 / np.trace(H.T @ B @ H)
+
+    h = compat.H_to_h(est.H)
+    assert ratio(h) == pytest.approx(est.energy, rel=1e-12)
+    for step in np.vstack([np.eye(len(h)), -np.eye(len(h))]) * 1e-3:
+        assert ratio(h + step) > est.energy
+
+
 def test_dce_close_to_planted(est_graph, est_sketches):
     est = dce(est_graph["edges"], est_graph["seeds"], 3, sketches=est_sketches)
     _check_valid(est.H)
@@ -101,11 +134,17 @@ def test_dcer_at_least_as_good_as_dce(est_graph, est_sketches):
 
 
 def test_mce_is_dce_with_ell_max_1(est_graph, est_sketches):
-    """MCE (Eq 12) is the ell_max = 1 case of the DCE energy (Eq 13/14)."""
+    """MCE (Eq 12) is the ell_max = 1 case of the DCE energy (Eq 13/14), and
+    DCE is DCEr with one restart: each pair gives the same H and energy."""
     args = (est_graph["edges"], est_graph["seeds"], 3)
-    m = mce(*args, sketches=est_sketches)
-    d = dce(*args, ell_max=1, sketches=est_sketches)
-    assert np.abs(m.H - d.H).max() <= 1e-12
+    pairs = {
+        "mce = dce(ell_max=1)": (mce(*args, sketches=est_sketches),
+                                 dce(*args, ell_max=1, sketches=est_sketches)),
+        "dce = dcer(restarts=1)": (dce(*args, sketches=est_sketches),
+                                   dcer(*args, restarts=1, sketches=est_sketches)),
+    }
+    for name, (a, b) in pairs.items():
+        assert np.array_equal(a.H, b.H) and a.energy == b.energy, name
 
 
 def test_restart_records_align(est_graph, est_sketches):
@@ -347,3 +386,23 @@ def test_unconverged_step2_warns(monkeypatch, hepth_sketches, tiny_spark):
     with pytest.warns(RuntimeWarning, match="without converging"):
         est = lce(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k)
     assert est.extra["converged"] is False
+
+
+def test_pipebench_hook_targets_resolve(spark, hepth_sketches):
+    """The benchmark's tracing hooks (pipebench/tracing.py) patch estimator,
+    sketch and LinBP names: each must exist and be looked up at call time, and
+    ``dcer`` makes one solver call per start plus one for the MCE warm start."""
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hooks = tracing.Hooks(spark.sparkContext, trace=True)
+    hooks.install()
+    try:
+        for module, name, original in hooks._saved:
+            assert callable(original) and getattr(module, name) is not original, name
+        dcer(None, None, 11, sketches=hepth_sketches, restarts=3, seed=0)
+        assert hooks.counts["opt.restarts"] == len(restart_points(11, 3, seed=0)) + 1
+        assert hooks.counts["opt.energy_calls"] > 0 and hooks.counts["opt.grad_calls"] > 0
+    finally:
+        hooks.uninstall()

@@ -9,7 +9,7 @@ from pyspark.sql import functions as F
 
 from repro import reference as R
 from repro.core.compat import skew_H
-from repro.linops.ops import from_numpy_frame, to_numpy_frame
+from repro.linops.ops import from_numpy_frame, spmm, to_numpy_frame
 from repro.oracle import assert_equivalent
 from repro.propagation.linbp import (
     accuracy_spark,
@@ -41,15 +41,18 @@ def test_effective_h_shift_invariance(rho_w):
     assert np.allclose(effective_h(H, rho_w), effective_h(H + 0.7, rho_w))
 
 
-def test_linbp_matches_numpy_beliefs(tiny_spark, rho_w):
-    H = skew_H(3, 3.0)
-    bel = linbp_propagate(tiny_spark.edges, tiny_spark.seeds, H,
-                          rho_w=rho_w, iters=6)
-    got = to_numpy_frame(bel, tiny_spark.n, 3)
-    ref = R.linbp(tiny_spark.src, tiny_spark.dst, _seed_dict(tiny_spark), H,
-                  tiny_spark.n, iters=6, rho_w=rho_w)
-    bel.unpersist()
-    assert np.allclose(got, ref, atol=1e-9)
+def test_linbp_matches_numpy_beliefs(tiny_spark, rho_w, edge_case_spark):
+    """Also on a graph with isolated nodes (one a seed) and a bipartite k=2
+    graph."""
+    cases = [(tiny_spark, rho_w)] + [(g, R.power_iteration_rho(g.src, g.dst, g.n))
+                                     for g in edge_case_spark]
+    for i, (g, rho) in enumerate(cases):
+        H = g.g.H_planted
+        bel = linbp_propagate(g.edges, g.seeds, H, rho_w=rho, iters=6)
+        got = to_numpy_frame(bel, g.n, g.k)
+        ref = R.linbp(g.src, g.dst, _seed_dict(g), H, g.n, iters=6, rho_w=rho)
+        bel.unpersist()
+        assert np.allclose(got, ref, atol=1e-9), f"graph {i}"
 
 
 def test_linbp_accuracy_matches_numpy(tiny_spark, rho_w):
@@ -121,6 +124,36 @@ def test_propagation_releases_cached_iterates(spark, tiny_spark, rho_w):
         for call in range(3):
             run().unpersist()
             assert persistent().size() == before, f"{name}, call {call}"
+
+
+def test_propagation_releases_its_frames_when_a_step_raises(spark, tiny_spark, rho_w,
+                                                           monkeypatch):
+    """A step that raises mid-loop (here the third ``W F``) leaves no cached
+    frame behind: the seed frames and the iterate the step read are released
+    before the error propagates."""
+    from repro.propagation import linbp, rwalk
+
+    def failing_spmm(edges, N, k):
+        if len(calls) == 2:
+            raise RuntimeError("step 3 failed")
+        calls.append(None)
+        return spmm(edges, N, k)
+
+    for module in (linbp, rwalk):
+        monkeypatch.setattr(module, "spmm", failing_spmm)
+    runs = {
+        "linbp": lambda: linbp_propagate(tiny_spark.edges, tiny_spark.seeds, skew_H(3, 3.0),
+                                         rho_w=rho_w, iters=10),
+        "random walk": lambda: random_walk_propagate(tiny_spark.edges, tiny_spark.seeds, 3,
+                                                     iters=10),
+    }
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    for name, run in runs.items():
+        calls = []
+        with pytest.raises(RuntimeError, match="step 3 failed"):
+            run()
+        assert persistent().size() == before, name
 
 
 def test_predict_labels_argmax_semantics(spark):

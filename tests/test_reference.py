@@ -162,6 +162,18 @@ def test_power_iteration_regular_graph():
     assert np.isclose(R.power_iteration_rho(src, dst, n, iters=300), 2.0, rtol=1e-3)
 
 
+def test_power_iteration_star_graph():
+    # Star K_{1,9}: bipartite, so -3 is an eigenvalue as large as rho(W) = 3.
+    src = np.array([0] * 9 + list(range(1, 10)))
+    dst = np.array(list(range(1, 10)) + [0] * 9)
+    assert np.isclose(R.power_iteration_rho(src, dst, 10), 3.0, rtol=1e-6)
+
+
+def test_power_iteration_edgeless_graph():
+    empty = np.array([], dtype=int)
+    assert R.power_iteration_rho(empty, empty, 5) == 0.0
+
+
 def test_labels_from_beliefs_and_accuracy():
     F = np.array([[0.1, 0.5, 0.2], [0.9, 0.0, 0.0], [0.2, 0.2, 0.6]])
     pred = R.labels_from_beliefs(F)

@@ -34,18 +34,27 @@ def test_sketch_shapes(sketches_nb):
         assert M.shape == (3, 3) and P.shape == (3, 3)
 
 
-def test_nb_sketches_match_numpy(tiny_spark, sketches_nb):
-    frames = R.nb_n_frames(tiny_spark.src, tiny_spark.dst, tiny_spark.X_seed, 4)
-    for ell, N in enumerate(frames):
-        M_ref = R.m_matrix(tiny_spark.X_seed, N)
-        assert np.allclose(sketches_nb.M[ell], M_ref), f"l={ell+1}"
+def _match_numpy(cases, frames):
+    for i, (g, sk) in enumerate(cases):
+        for ell, N in enumerate(frames(g.src, g.dst, g.X_seed, 4)):
+            M_ref = R.m_matrix(g.X_seed, N)
+            assert np.allclose(sk.M[ell], M_ref), f"graph {i}, l={ell+1}"
 
 
-def test_full_sketches_match_numpy(tiny_spark, sketches_full):
-    frames = R.full_n_frames(tiny_spark.src, tiny_spark.dst, tiny_spark.X_seed, 4)
-    for ell, N in enumerate(frames):
-        M_ref = R.m_matrix(tiny_spark.X_seed, N)
-        assert np.allclose(sketches_full.M[ell], M_ref), f"l={ell+1}"
+def test_nb_sketches_match_numpy(tiny_spark, sketches_nb, edge_case_spark):
+    """Also on a graph with isolated nodes (one a seed) and a bipartite k=2
+    graph."""
+    _match_numpy([(tiny_spark, sketches_nb)]
+                 + [(g, build_sketches(g.edges, g.seeds, g.k, ell_max=4, nb=True))
+                    for g in edge_case_spark], R.nb_n_frames)
+
+
+def test_full_sketches_match_numpy(tiny_spark, sketches_full, edge_case_spark):
+    """Also on a graph with isolated nodes (one a seed) and a bipartite k=2
+    graph."""
+    _match_numpy([(tiny_spark, sketches_full)]
+                 + [(g, build_sketches(g.edges, g.seeds, g.k, ell_max=4, nb=False))
+                    for g in edge_case_spark], R.full_n_frames)
 
 
 def test_deep_nb_recurrence_matches_numpy_on_one_leaf_plans(tiny_spark, monkeypatch):
@@ -73,6 +82,28 @@ def test_build_sketches_releases_its_frames(tiny_spark, spark):
     before = persistent().size()
     for nb in (True, False):
         build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k, ell_max=4, nb=nb)
+        assert persistent().size() == before, f"nb={nb}"
+
+
+def test_build_sketches_releases_its_frames_when_a_level_raises(tiny_spark, spark, monkeypatch):
+    """A level that raises (here the third level's collect) leaves no cached
+    frame behind: the seed frame, the degrees and every level frame are
+    released before the error propagates."""
+    xtn = sketch.xtn
+
+    def failing_xtn(labels, N, k):
+        if len(calls) == 2:
+            raise RuntimeError("level 3 failed")
+        calls.append(None)
+        return xtn(labels, N, k)
+
+    monkeypatch.setattr(sketch, "xtn", failing_xtn)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    for nb in (True, False):
+        calls = []
+        with pytest.raises(RuntimeError, match="level 3 failed"):
+            build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k, ell_max=4, nb=nb)
         assert persistent().size() == before, f"nb={nb}"
 
 
