@@ -13,7 +13,11 @@ l = 1..ell_max, in O(m k ell_max), *never* materializing ``W^l``.
 
 Every intermediate is an n x k DataFrame; the only data leaving the cluster
 are the k x k summaries — the "factorized graph representation" whose size is
-independent of the graph. Each level is materialized with its lineage cut
+independent of the graph. Each level is one pass over the edges, as in the
+paper's cost model: one join of the edges against ``N^(l-1)`` (and, for an NB
+level, ``N^(l-2)``, whose ``D N^(l-2)`` rows the same join emits) and one
+aggregation (``repro.linops.ops.spmm`` with ``back=``, and ``add``). Each
+level is materialized with its lineage cut
 (``repro.linops.ops.materialize``), so level l plans as ``W`` times one-leaf
 frames rather than as the whole recurrence so far; a level is released once
 the level that last reads it is materialized.
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.graphs.edges import degrees_df
-from repro.linops.ops import add, materialize, onehot_df, release, scale_rows, spmm, xtn
+from repro.linops.ops import add, materialize, onehot_df, release, spmm, xtn
+from repro.linops.ops import scale_rows  # noqa: F401  (counted by pipebench/tracing.py)
 from repro.reference import normalize_m
 
 __all__ = ["GraphSketches", "build_sketches", "explicit_power_m"]
@@ -62,18 +66,17 @@ def build_sketches(
     all of them are released when a step raises.
     """
     sk = GraphSketches(k=k, ell_max=ell_max, nb=nb, variant=variant)
-    deg = None  # the degrees, which only NB levels 2 and beyond read
     n_prev2: DataFrame | None = None  # N^(l-2)
     n_prev: DataFrame | None = None  # N^(l-1), from N^(0) = X
     try:
         n_prev = materialize(onehot_df(labels, k))
-        if nb and ell_max >= 2:
-            deg = materialize(degrees_df(edges))
         for ell in range(1, ell_max + 1):
-            cur = spmm(edges, n_prev, k)
             if nb and ell >= 2:  # minus D X at l = 2, (D - I) N^(l-2) beyond
-                cur = add(cur, scale_rows(n_prev2, deg, k, offset=-1.0 if ell > 2 else 0.0),
-                          k, cb=-1.0)
+                cur = spmm(edges, n_prev, k, back=n_prev2)
+                if ell > 2:
+                    cur = add(cur, n_prev2, k)
+            else:
+                cur = spmm(edges, n_prev, k)
             cur = materialize(cur)
             if n_prev2 is not None:
                 release(n_prev2)
@@ -82,7 +85,7 @@ def build_sketches(
             sk.M.append(M)
             sk.P.append(normalize_m(M, variant))
     finally:
-        for df in (n_prev2, n_prev, deg):
+        for df in (n_prev2, n_prev):
             if df is not None:
                 release(df)
     return sk

@@ -58,9 +58,11 @@ class PreparedGraph:
 def prepare(
     spark: SparkSession, g: PlantedGraph, f: float, *, seed: int = 0
 ) -> PreparedGraph:
-    """Lift a planted graph into Spark and sample the seed fraction f.
-    Raises ``ValueError`` on a label outside ``[0, k)`` (and, through
-    ``to_spark_edges``, on a self-loop or a negative node id).
+    """Lift a planted graph into Spark and sample the seed fraction f. The
+    edges are persisted once, hash-partitioned on ``dst``, so no step that
+    joins them reshuffles them. Raises ``ValueError`` on a label outside
+    ``[0, k)`` (and, through ``to_spark_edges``, on a self-loop or a negative
+    node id).
 
     rho(W) comes from the numpy power iteration on the driver, as the paper
     computes it on the driver with PyAMG: one scalar, consumed by every

@@ -4,7 +4,9 @@ Conventions used across the reproduction:
 
 * an *undirected* graph is carried as a **symmetric** Spark edges DataFrame
   with columns ``(src: long, dst: long)`` containing both directions of every
-  edge, so that ``W @ N`` is a single join + groupBy-sum;
+  edge, hash-partitioned on ``dst`` into ``spark.sql.shuffle.partitions``
+  parts, so that ``W @ N`` is a single join (which reads the edges without a
+  shuffle) + groupBy-sum;
 * seed labels are a DataFrame ``(node: long, label: int)``.
 """
 from __future__ import annotations
@@ -25,9 +27,12 @@ __all__ = [
 
 def to_spark_edges(spark: SparkSession, edges_pdf: pd.DataFrame) -> DataFrame:
     """Lift a unique undirected edge list (src < dst) to a symmetric Spark
-    edges DataFrame (both directions, deduplicated). Raises ``ValueError`` on
-    a self-loop, which the non-backtracking ``(D - I)`` term does not allow
-    for, and on a negative node id."""
+    edges DataFrame (both directions, deduplicated), hash-partitioned on
+    ``dst`` into as many parts as a shuffle has: a join on ``dst = node`` then
+    shuffles only its other side. Persist the result once; every step that
+    reads it keeps that partitioning. Raises ``ValueError`` on a self-loop,
+    which the non-backtracking ``(D - I)`` term does not allow for, and on a
+    negative node id."""
     pdf = edges_pdf[["src", "dst"]].astype("int64")
     if (pdf["src"] == pdf["dst"]).any():
         raise ValueError("edge list has a self-loop")
@@ -37,7 +42,8 @@ def to_spark_edges(spark: SparkSession, edges_pdf: pd.DataFrame) -> DataFrame:
         [pdf, pdf.rename(columns={"src": "dst", "dst": "src"})[["src", "dst"]]],
         ignore_index=True,
     ).drop_duplicates()
-    return spark.createDataFrame(both)
+    parts = int(spark.conf.get("spark.sql.shuffle.partitions"))
+    return spark.createDataFrame(both).repartition(parts, "dst")
 
 
 def to_spark_labels(spark: SparkSession, labels_pdf: pd.DataFrame) -> DataFrame:

@@ -7,8 +7,15 @@ can plan — exactly the paper's point that factorized evaluation *is* join
 reordering (its footnote 5 draws the analogy to pushing projections through
 joins).
 
-Absent rows mean all-zero rows; ``add`` reconciles them with outer joins +
-coalesce so sparsity is preserved through the recurrences.
+Absent rows mean all-zero rows, so sparsity is preserved through the
+recurrences. Every sum ends in one aggregation: ``spmm`` emits one row per edge
+from its join and ``add`` unions its terms, then both run one
+``groupBy(node).sum``. A frame fresh from ``spmm`` or ``add`` keeps the rows it
+sums, and an ``add`` that reads it sums those rows in its own aggregation. So
+a recurrence step built from them (a sketch level, a LinBP or random-walk
+iteration) is one join against the edges plus one aggregation. The edges come
+hash-partitioned on ``dst`` (``repro.graphs.edges.to_spark_edges``), so that
+join reads them without a shuffle.
 
 The recurrences (the sketch levels, LinBP, the random walk) would otherwise
 grow their logical plan with every step: ``N^(l)`` reads both ``N^(l-1)`` and
@@ -61,16 +68,41 @@ def onehot_df(labels: DataFrame, k: int, *, centered: bool = False) -> DataFrame
     return labels.select(F.col("node"), *cols)
 
 
-def spmm(edges: DataFrame, N: DataFrame, k: int) -> DataFrame:
+def _summed(rows: DataFrame, k: int) -> DataFrame:
+    """``rows`` summed per node: the one aggregation ``spmm`` and ``add`` end
+    in. The result keeps ``rows``, for an ``add`` that reads it."""
+    out = rows.groupBy("node").agg(*[F.sum(c).alias(c) for c in cls_cols(k)])
+    out._summed_rows = rows
+    return out
+
+
+def _rows(df: DataFrame) -> DataFrame:
+    """The unsummed rows of a frame from ``_summed``, else the frame."""
+    return vars(df).get("_summed_rows", df)
+
+
+def spmm(edges: DataFrame, N: DataFrame, k: int, *, back: DataFrame | None = None) -> DataFrame:
     """``W @ N``: for each node, sum the rows of N over its neighbors.
 
-    One shuffle join (edges.dst = N.node) + one aggregation. Nodes none of
-    whose neighbors appear in N are absent from the result (zero rows)."""
+    One join (edges.dst = N.node) that emits ``(src, N[dst])`` per edge, and
+    one aggregation. The join is a shuffled hash join built on N's side (at
+    most n rows), so the m edge rows stream through it and are never sorted,
+    as a sort-merge join would. Nodes none of whose neighbors appear in N are
+    absent from the result (zero rows).
+
+    ``back=B`` gives the non-backtracking ``W @ N - D @ B`` from the same join:
+    B's rows are negated and tagged onto N's side, and the join emits a tagged
+    row at ``dst`` instead, once per incident edge, so the degrees come from
+    the edges without a degree frame (W is symmetric)."""
     cols = cls_cols(k)
-    joined = edges.join(N, edges["dst"] == N["node"], "inner")
-    return joined.groupBy(edges["src"].alias("node")).agg(
-        *[F.sum(c).alias(c) for c in cols]
-    )
+    side, node = N, edges["src"]
+    if back is not None:
+        side = N.withColumn("_at_src", F.lit(True)).unionByName(
+            back.select("node", *[(-F.col(c)).alias(c) for c in cols],
+                        F.lit(False).alias("_at_src")))
+        node = F.when(side["_at_src"], edges["src"]).otherwise(edges["dst"])
+    joined = edges.join(side.hint("shuffle_hash"), edges["dst"] == side["node"], "inner")
+    return _summed(joined.select(node.alias("node"), *[side[c] for c in cols]), k)
 
 
 def matmul_small(N: DataFrame, H: np.ndarray) -> DataFrame:
@@ -86,20 +118,12 @@ def matmul_small(N: DataFrame, H: np.ndarray) -> DataFrame:
 
 
 def add(A: DataFrame, B: DataFrame, k: int, *, ca: float = 1.0, cb: float = 1.0) -> DataFrame:
-    """``ca * A + cb * B`` with absent rows treated as zero (full outer join
-    + coalesce)."""
-    cols = cls_cols(k)
-    a = A.select("node", *[F.col(c).alias(f"a_{c}") for c in cols])
-    b = B.select("node", *[F.col(c).alias(f"b_{c}") for c in cols])
-    j = a.join(b, on="node", how="full_outer")
-    exprs = [
-        (
-            F.coalesce(F.col(f"a_{c}"), F.lit(0.0)) * ca
-            + F.coalesce(F.col(f"b_{c}"), F.lit(0.0)) * cb
-        ).alias(c)
-        for c in cols
-    ]
-    return j.select("node", *exprs)
+    """``ca * A + cb * B`` with absent rows treated as zero: one union and one
+    aggregation. A frame from ``spmm`` or ``add`` enters as the rows it sums,
+    so ``add(spmm(edges, N, k), X, k)`` is one join and one aggregation."""
+    a, b = (_rows(df).select("node", *[(F.col(x) * c).alias(x) for x in cls_cols(k)])
+            for df, c in ((A, ca), (B, cb)))
+    return _summed(a.unionByName(b), k)
 
 
 def scale_rows(N: DataFrame, diag: DataFrame, k: int, *, offset: float = 0.0) -> DataFrame:

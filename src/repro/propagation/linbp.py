@@ -11,12 +11,13 @@ so that ``rho(H_eff) * rho(W) = s < 1`` — the convergence condition of Eq 2
 guarantees centering does not change the final labels; we center because the
 centered iterate provably converges.
 
-Each iteration is one shuffle join (``W F``), one narrow column combination
-(``· H_eff``) and one outer-join add (``X + ·``) — all Catalyst-planned. The
-loop is ``repro.linops.ops.iterate``: every iterate is materialized with its
-lineage cut and the one it replaced released, so iteration t plans over one
-leaf, not over the t iterations before it; the last iterate comes back
-persisted, for the caller to ``unpersist()``.
+Each iteration is one narrow column combination (``F H_eff``), one join
+against the edges that emits ``W F H_eff`` one row per edge, and one
+aggregation that sums those rows together with ``X`` (``add``) — all
+Catalyst-planned. The loop is ``repro.linops.ops.iterate``: every iterate is
+materialized with its lineage cut and the one it replaced released, so
+iteration t plans over one leaf, not over the t iterations before it; the
+last iterate comes back persisted, for the caller to ``unpersist()``.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def linbp_propagate(
     X = materialize(onehot_df(seed_labels, k, centered=True))
 
     def step(Fdf: DataFrame) -> DataFrame:
-        return add(X, matmul_small(spmm(edges, Fdf, k), Heff), k)
+        return add(spmm(edges, matmul_small(Fdf, Heff), k), X, k)
 
     try:
         return iterate(step, X, iters)
@@ -90,14 +91,15 @@ def predict_labels(beliefs: DataFrame, k: int) -> DataFrame:
 
 def accuracy_spark(pred: DataFrame, truth: DataFrame, seeds: DataFrame) -> float:
     """End-to-end accuracy over non-seed nodes (the paper's quality metric).
-    Nodes propagation never reached count as wrong (no prediction)."""
+    Nodes propagation never reached count as wrong (no prediction). One
+    action: the non-seed truth left-joined to the predictions, then one
+    ``count`` and one ``sum`` of the matches."""
     eval_set = truth.join(seeds.select("node"), on="node", how="left_anti")
-    total = eval_set.count()
+    total, correct = (
+        eval_set.join(pred, on="node", how="left")
+        .agg(F.count("*"), F.sum((F.col("label") == F.col("pred")).cast("long")))
+        .first()
+    )
     if total == 0:
         return float("nan")
-    correct = (
-        eval_set.join(pred, on="node", how="inner")
-        .filter(F.col("label") == F.col("pred"))
-        .count()
-    )
-    return correct / total
+    return (correct or 0) / total

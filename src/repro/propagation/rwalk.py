@@ -56,7 +56,9 @@ def random_walk_propagate(
     """MultiRankWalk (paper Eq 3): ``F <- (1-alpha) U + alpha W_col F`` with
     one personalized walk per class. ``W_col`` is the column-normalized
     adjacency, i.e. messages are divided by the *sender's* degree:
-    ``W_col F = W (D^-1 F)``. The loop is ``repro.linops.ops.iterate``
+    ``W_col F = W (D^-1 F)``. A step joins ``F`` to the inverse degrees, then
+    joins the edges and sums their rows together with ``(1-alpha) U`` in one
+    aggregation (``add``). The loop is ``repro.linops.ops.iterate``
     (one-leaf plan per step); the returned frame is persisted, for the caller
     to ``unpersist()``."""
     inv_deg = materialize(

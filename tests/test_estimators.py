@@ -375,6 +375,34 @@ def test_dcer_with_an_unseeded_class():
     _check_valid(est.H, k=4)
 
 
+def test_one_seed_per_class(spark, est_graph):
+    """f -> 0: at f = 1e-4, the paper's lowest label fraction, the 2,000-node
+    graph gets one seed per class. The Spark sketch still equals numpy, DCEr
+    still returns a valid H and records whether step 2 converged, and LinBP
+    with that H matches the numpy beliefs."""
+    from repro.linops.ops import to_numpy_frame
+    from repro.propagation.linbp import linbp_propagate
+
+    g, edges = est_graph["g"], est_graph["edges"]
+    seeds_pdf = sample_seeds(g.labels, 1e-4, seed=0)
+    assert sorted(seeds_pdf.label) == [0, 1, 2]
+    seeds = to_spark_labels(spark, seeds_pdf)
+    pairs = dict(zip(seeds_pdf.node, seeds_pdf.label))
+    src, dst = g.coo()
+    X = R.onehot(pairs, g.n, 3)
+    sk = build_sketches(edges, seeds, 3, ell_max=5)
+    for ell, N in enumerate(R.nb_n_frames(src, dst, X, 5)):
+        assert np.allclose(sk.M[ell], R.m_matrix(X, N), rtol=0, atol=1e-9), f"l={ell + 1}"
+    est = dcer(edges, seeds, 3, sketches=sk, seed=0)
+    _check_valid(est.H)
+    assert isinstance(est.extra["converged"], bool)
+    bel = linbp_propagate(edges, seeds, est.H, rho_w=est_graph["rho_w"])
+    got = to_numpy_frame(bel, g.n, 3)
+    bel.unpersist()
+    ref = R.linbp(src, dst, pairs, est.H, g.n, rho_w=est_graph["rho_w"])
+    assert np.allclose(got, ref, atol=1e-9)
+
+
 def test_unconverged_step2_warns(monkeypatch, hepth_sketches, tiny_spark):
     """An estimate whose optimization stopped at the iteration cap says so:
     a RuntimeWarning, and ``extra["converged"]`` is False."""

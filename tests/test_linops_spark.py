@@ -2,6 +2,8 @@
 numpy reference and the DuckDB oracle."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -272,3 +274,67 @@ def test_iterate_applies_step_and_frees_iterates(spark):
     with pytest.raises(ValueError):
         iterate(lambda df: df, start, 0)
     release(start)
+
+
+def _name(plan) -> str:
+    return plan.getClass().getSimpleName()
+
+
+def _plan_paths(plan, ancestors=()):
+    """Every node of an executed plan with its ancestors (root first), read
+    through the adaptive-execution wrappers (final plan, query stages)."""
+    yield plan, ancestors
+    if _name(plan) == "AdaptiveSparkPlanExec":
+        children = [plan.executedPlan()]
+    elif _name(plan).endswith("QueryStageExec"):
+        children = [plan.plan()]
+    else:
+        seq = plan.children()
+        children = [seq.apply(i) for i in range(seq.size())]
+    for child in children:
+        yield from _plan_paths(child, ancestors + (plan,))
+
+
+def _assert_one_pass(df, what):
+    """``df``'s executed plan streams the persisted edges into its join
+    without a shuffle or a sort, has no full outer join, and aggregates once
+    on ``node``."""
+    nodes = list(_plan_paths(df._jdf.queryExecution().executedPlan()))
+    scans = [a for p, a in nodes if _name(p) == "InMemoryTableScanExec"]
+    assert scans, f"{what}: no scan of the persisted edges"
+    for ancestors in scans:
+        below_join = itertools.takewhile(lambda p: not _name(p).endswith("JoinExec"),
+                                         reversed(ancestors))
+        assert not {"ShuffleExchangeExec", "SortExec"} & set(map(_name, below_join)), \
+            f"{what}: edges reshuffled or sorted"
+    assert not [p for p, _ in nodes if "FullOuter" in p.simpleString(3)], f"{what}: outer join"
+    aggs = [p.simpleString(3) for p, _ in nodes if _name(p) == "HashAggregateExec"]
+    assert len(aggs) == 2 and all("keys=[node#" in a for a in aggs), f"{what}: {aggs}"
+
+
+def test_a_step_is_one_join_against_partitioned_edges_and_one_aggregation(tiny_spark,
+                                                                          monkeypatch):
+    """The executed plans of one LinBP iteration and of one NB sketch level
+    (l = 3: ``W N^(2) - (D - I) N^(1)``): no exchange or sort between the
+    persisted edges scan and the join, no full outer join, and one hash aggregation on
+    ``node`` (partial plus final)."""
+    from repro.core import sketch
+    from repro.linops import ops
+    from repro.propagation.linbp import linbp_propagate
+
+    steps = []
+
+    def recording(original):
+        def wrapper(df):
+            steps.append(df)
+            return original(df)
+        return wrapper
+
+    monkeypatch.setattr(ops, "materialize", recording(ops.materialize))
+    rho = R.power_iteration_rho(tiny_spark.src, tiny_spark.dst, tiny_spark.n)
+    linbp_propagate(tiny_spark.edges, tiny_spark.seeds, tiny_spark.g.H_planted, rho_w=rho,
+                    iters=2).unpersist()
+    _assert_one_pass(steps[-1], "LinBP iteration")  # the first iterate, from X
+    monkeypatch.setattr(sketch, "materialize", recording(sketch.materialize))
+    sketch.build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k, ell_max=3)
+    _assert_one_pass(steps[-1], "NB level 3")

@@ -28,9 +28,10 @@ def test_benchmark_factory_is_the_session_factory():
 
 def test_session_config(spark):
     assert spark.conf.get("spark.sql.shuffle.partitions") == os.environ.get(
-        "SPARK_SHUFFLE_PARTITIONS", "32")
+        "SPARK_SHUFFLE_PARTITIONS", str(spark.sparkContext.defaultParallelism))
     assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     assert spark.conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
+    assert spark.conf.get("spark.python.sql.dataFrameDebugging.enabled") == "false"
 
 
 def test_job_map_covers_every_driver_and_result():

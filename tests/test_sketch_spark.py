@@ -4,14 +4,18 @@ explicit W^l evaluation order, and the DuckDB oracle."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import reference as R
 from repro.core import sketch
 from repro.core.compat import skew_H
 from repro.core.gradient import dce_weights
 from repro.core.sketch import build_sketches, explicit_power_m
-from repro.graphs.edges import to_spark_edges, to_spark_labels
+from repro.graphs.edges import sample_seeds, to_spark_edges, to_spark_labels
+from repro.graphs.generator import planted_graph
 from repro.linops.ops import from_numpy_frame
 from repro.oracle import assert_equivalent
 
@@ -55,6 +59,29 @@ def test_full_sketches_match_numpy(tiny_spark, sketches_full, edge_case_spark):
     _match_numpy([(tiny_spark, sketches_full)]
                  + [(g, build_sketches(g.edges, g.seeds, g.k, ell_max=4, nb=False))
                     for g in edge_case_spark], R.full_n_frames)
+
+
+@given(k=st.integers(2, 4), n=st.integers(30, 90), isolated=st.integers(0, 3),
+       nb=st.booleans(), ell_max=st.integers(1, 5), seed=st.integers(0, 10_000))
+@settings(max_examples=6, deadline=None)
+def test_sketches_match_numpy_on_random_graphs(spark, k, n, isolated, nb, ell_max, seed):
+    """Random small planted graphs with ``isolated`` extra nodes of degree 0
+    (the first of them a seed): every Spark ``M^(l)`` equals the numpy
+    frames' ``X^T N^(l)``."""
+    g = planted_graph(n, 3 * n, [1 / k] * k, skew_H(k, 3.0), seed=seed)
+    seeds = sample_seeds(g.labels, 0.3, seed=seed)
+    extra = pd.DataFrame({"node": n + np.arange(isolated), "label": np.arange(isolated) % k})
+    seeds = pd.concat([seeds, extra.iloc[:1]], ignore_index=True)
+    edges = to_spark_edges(spark, g.edges).persist()
+    try:
+        sk = build_sketches(edges, to_spark_labels(spark, seeds), k, ell_max=ell_max, nb=nb)
+    finally:
+        edges.unpersist()
+    src, dst = g.coo()
+    X = R.onehot(list(zip(seeds.node, seeds.label)), n + isolated, k)
+    frames = (R.nb_n_frames if nb else R.full_n_frames)(src, dst, X, ell_max)
+    for ell, N in enumerate(frames):
+        assert np.allclose(sk.M[ell], R.m_matrix(X, N), rtol=0, atol=1e-9), f"l={ell + 1}"
 
 
 def test_deep_nb_recurrence_matches_numpy_on_one_leaf_plans(tiny_spark, monkeypatch):
