@@ -133,19 +133,20 @@ def is_doubly_stochastic(H: np.ndarray, tol: float = 1e-6) -> bool:
     )
 
 
-def sinkhorn(M: np.ndarray, iters: int = 500, tol: float = 1e-12) -> np.ndarray:
+def sinkhorn(M: np.ndarray) -> np.ndarray:
     """Symmetrize and Sinkhorn-balance a nonnegative matrix to (symmetric)
-    doubly stochastic. Used to turn published gold-standard neighbor-frequency
+    doubly stochastic: at most 500 rounds, until every row sum is within
+    1e-12 of 1. Used to turn published gold-standard neighbor-frequency
     matrices (paper Fig 13, row-stochastic only) into valid planted
     compatibility matrices."""
     A = np.asarray(M, dtype=float)
     A = (A + A.T) / 2.0
     A = np.maximum(A, 1e-12)
-    for _ in range(iters):
+    for _ in range(500):
         r = A.sum(axis=1)
         A = A / r[:, None]
         A = (A + A.T) / 2.0
-        if np.abs(A.sum(axis=1) - 1.0).max() < tol:
+        if np.abs(A.sum(axis=1) - 1.0).max() < 1e-12:
             break
     return A
 

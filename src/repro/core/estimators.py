@@ -69,7 +69,7 @@ def gold_standard(edges: DataFrame, all_labels: DataFrame, k: int) -> Estimation
     """The paper's GS: row-normalize the neighbor-count matrix M measured on
     the *fully* labeled graph (Section 5.3)."""
     t0 = time.perf_counter()
-    sk = build_sketches(edges, all_labels, k, ell_max=1, nb=True, variant=1)
+    sk = build_sketches(edges, all_labels, k, ell_max=1)
     return EstimationResult(
         H=sk.P[0], method="gs", sketch_time=time.perf_counter() - t0
     )
@@ -112,21 +112,25 @@ def _two_step(method: str, k: int, sketch: Callable, objective: Callable) -> Est
 
 
 def _dce(edges: DataFrame, seed_labels: DataFrame, k: int, method: str, starts: Callable, *,
-         ell_max: int, lam: float, nb: bool, variant: int,
+         ell_max: int, lam: float, variant: int,
          sketches: GraphSketches | None) -> EstimationResult:
-    """The core of MCE, DCE and DCEr: the DCE energy (Eq 13/14) on
-    ``P^(1..ell_max)`` of ``sketches`` (built when not given), minimized from
-    each of ``starts(sketches)``."""
+    """The core of MCE, DCE and DCEr: the DCE energy (Eq 13/14) on the
+    statistics ``P^(l) = normalize_m(M^(l), variant)``, l = 1..ell_max, of the
+    non-backtracking ``sketches`` (built when not given), minimized from each
+    of ``starts(sketches)``. Step 1 yields only ``M``; this is the one place
+    step 2 normalizes it. Given sketches must be non-backtracking, with k
+    classes and at least ``ell_max`` levels, else ``ValueError``."""
+    if sketches and not (sketches.k == k and sketches.ell_max >= ell_max and sketches.nb):
+        raise ValueError(f"{method} needs non-backtracking sketches with k = {k} and at least "
+                         f"{ell_max} levels, got {sketches.k}, {sketches.ell_max}, nb={sketches.nb}")
+
     def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
-        # The sketches' own statistics when they were built with this variant,
-        # else the raw M (which does not depend on the variant) normalized again.
-        P = (sk.P[:ell_max] if sk.variant == variant
-             else [normalize_m(M, variant) for M in sk.M[:ell_max]])
+        P = [normalize_m(M, variant) for M in sk.M[:ell_max]]
         w = dce_weights(lam, ell_max)
         return (lambda h: dce_energy(h, P, w, k)), (lambda h: dce_gradient(h, P, w, k)), starts(sk)
 
     return _two_step(method, k, lambda: sketches or build_sketches(
-        edges, seed_labels, k, ell_max=ell_max, nb=nb, variant=variant), objective)
+        edges, seed_labels, k, ell_max=ell_max), objective)
 
 
 def mce(
@@ -141,7 +145,7 @@ def mce(
     doubly-stochastic matrix to the length-1 statistics, i.e. the DCE energy
     with ell_max = 1, from the uniform start."""
     return _dce(edges, seed_labels, k, f"mce_v{variant}", lambda sk: [compat.uniform_h(k)],
-                ell_max=1, lam=1.0, nb=True, variant=variant, sketches=sketches)
+                ell_max=1, lam=1.0, variant=variant, sketches=sketches)
 
 
 def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
@@ -195,7 +199,6 @@ def dce(
     *,
     ell_max: int = 5,
     lam: float = 10.0,
-    nb: bool = True,
     variant: int = 1,
     h0: np.ndarray | None = None,
     sketches: GraphSketches | None = None,
@@ -204,7 +207,7 @@ def dce(
     uniform point unless ``h0`` is given)."""
     start = compat.uniform_h(k) if h0 is None else h0
     return _dce(edges, seed_labels, k, "dce", lambda sk: [start], ell_max=ell_max, lam=lam,
-                nb=nb, variant=variant, sketches=sketches)
+                variant=variant, sketches=sketches)
 
 
 def restart_points(k: int, r: int, *, seed: int = 0) -> list[np.ndarray]:
@@ -241,7 +244,6 @@ def dcer(
     ell_max: int = 5,
     lam: float = 10.0,
     restarts: int = 10,
-    nb: bool = True,
     variant: int = 1,
     seed: int = 0,
     sketches: GraphSketches | None = None,
@@ -263,7 +265,7 @@ def dcer(
             pts[-1] = compat.H_to_h(mce(edges, seed_labels, k, variant=variant, sketches=sk).H)
         return pts
 
-    return _dce(edges, seed_labels, k, "dcer", starts, ell_max=ell_max, lam=lam, nb=nb,
+    return _dce(edges, seed_labels, k, "dcer", starts, ell_max=ell_max, lam=lam,
                 variant=variant, sketches=sketches)
 
 
@@ -275,7 +277,6 @@ def holdout(
     rho_w: float,
     b: int = 1,
     prop_iters: int = 10,
-    s: float = 0.5,
     nm_max_iter: int = 60,
     seed: int = 0,
 ) -> EstimationResult:
@@ -310,9 +311,7 @@ def holdout(
         H = compat.h_to_H(h, k)
         acc_sum = 0.0
         for seed_df, hold_df in split_dfs:
-            beliefs = linbp_propagate(
-                edges, seed_df, H, rho_w=rho_w, s=s, iters=prop_iters
-            )
+            beliefs = linbp_propagate(edges, seed_df, H, rho_w=rho_w, iters=prop_iters)
             pred = predict_labels(beliefs, k)
             acc_sum += accuracy_spark(pred, hold_df, seed_df)
             beliefs.unpersist()
@@ -326,13 +325,13 @@ def holdout(
     )
 
 
-def heuristic_hl(gs_H: np.ndarray, *, ratio: float = 3.0) -> EstimationResult:
+def heuristic_hl(gs_H: np.ndarray) -> EstimationResult:
     """The prior-work heuristic (Appendix E.1): assume H has only two values,
     High and Low; read the *positions* of the high entries off the gold
-    standard (the paper grants the heuristic this glance), assign two fixed
-    values and rebalance. Only the pattern matters downstream — LinBP rescales
-    by the spectral radius anyway."""
+    standard (the paper grants the heuristic this glance), assign the fixed
+    values 3 and 1 and rebalance. Only the pattern matters downstream — LinBP
+    rescales by the spectral radius anyway."""
     gs_H = np.asarray(gs_H, float)
     mask = gs_H > gs_H.mean()
-    A = np.where(mask, ratio, 1.0)
+    A = np.where(mask, 3.0, 1.0)
     return EstimationResult(H=compat.sinkhorn(A), method="heuristic")

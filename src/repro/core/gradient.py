@@ -38,9 +38,8 @@ def dce_energy(
     """``E(h) = sum_l w_l || H(h)^l - P_hat^(l) ||_F^2`` (Eq 13/14)."""
     H = h_to_H(h, k)
     pw = _h_powers(H, len(P))
-    return float(
-        sum(w * np.sum((pw[ell] - Z) ** 2) for ell, (w, Z) in enumerate(zip(weights, P), start=1))
-    )
+    return float(sum(w * np.sum((pw[ell] - Z) ** 2)
+                     for ell, (w, Z) in enumerate(zip(weights, P, strict=True), start=1)))
 
 
 def _dE_dH(H: np.ndarray, P: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -57,7 +56,7 @@ def _dE_dH(H: np.ndarray, P: list[np.ndarray], weights: np.ndarray) -> np.ndarra
     ell_max = len(P)
     pw = _h_powers(H, 2 * ell_max)
     G = np.zeros_like(H)
-    for ell, (w, Z) in enumerate(zip(weights, P), start=1):
+    for ell, (w, Z) in enumerate(zip(weights, P, strict=True), start=1):
         term = ell * pw[2 * ell - 1]
         for r in range(ell):
             term = term - pw[r] @ Z @ pw[ell - r - 1]

@@ -26,6 +26,11 @@ import numpy as np
 
 __all__ = ["bfgs", "nelder_mead", "OptResult"]
 
+# BFGS line search: the Armijo test's c1, the shrink factor, the most shrinks.
+_ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
+# Nelder-Mead: the initial simplex step, the x and f convergence tolerances.
+_NM_STEP, _NM_XATOL, _NM_FATOL = 0.1, 1e-4, 1e-6
+
 
 class OptResult:
     """Minimal scipy-like result: ``x``, ``fun``, ``nit``, ``converged``."""
@@ -47,12 +52,10 @@ def bfgs(
     *,
     max_iter: int = 2000,
     tol: float = 1e-12,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
-    max_backtracks: int = 40,
 ) -> OptResult:
     """Dense BFGS (Nocedal & Wright Alg 6.1) with an Armijo backtracking line
-    search from the unit step, on an unconstrained problem.
+    search from the unit step (c1 = 1e-4, the step halved up to 40 times), on
+    an unconstrained problem.
 
     The inverse-Hessian estimate starts at the identity. The search direction
     falls back to steepest descent when the quasi-Newton one is not a descent
@@ -75,12 +78,12 @@ def bfgs(
         if slope >= 0:
             p, slope = -g, -gnorm2
         step = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = x + step * p
             fc = fun(cand)
-            if fc <= fx + armijo_c * step * slope:
+            if fc <= fx + _ARMIJO_C * step * slope:
                 break
-            step *= backtrack
+            step *= _BACKTRACK
         else:
             return OptResult(x, fx, it, True)  # no step makes progress
         g_new = grad(cand)
@@ -100,20 +103,18 @@ def nelder_mead(
     fun: Callable[[np.ndarray], float],
     x0: np.ndarray,
     *,
-    step: float = 0.1,
     max_iter: int = 200,
-    xatol: float = 1e-4,
-    fatol: float = 1e-6,
 ) -> OptResult:
     """Standard Nelder-Mead simplex (reflection 1, expansion 2, contraction
-    0.5, shrink 0.5) — mirrors scipy.optimize.minimize(method="Nelder-Mead")
-    closely enough for the Holdout baseline's small k* dimensionality."""
+    0.5, shrink 0.5; initial step 0.1, xatol 1e-4, fatol 1e-6) — mirrors
+    scipy.optimize.minimize(method="Nelder-Mead") closely enough for the
+    Holdout baseline's small k* dimensionality."""
     x0 = np.asarray(x0, dtype=float)
     ndim = len(x0)
     simplex = [x0]
     for i in range(ndim):
         p = x0.copy()
-        p[i] += step if p[i] == 0 else step * max(abs(p[i]), 1.0)
+        p[i] += _NM_STEP if p[i] == 0 else _NM_STEP * max(abs(p[i]), 1.0)
         simplex.append(p)
     fvals = [fun(p) for p in simplex]
     nit = 0
@@ -122,8 +123,8 @@ def nelder_mead(
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
         if (
-            np.max([np.max(np.abs(p - simplex[0])) for p in simplex[1:]]) < xatol
-            and np.max(np.abs(np.array(fvals[1:]) - fvals[0])) < fatol
+            np.max([np.max(np.abs(p - simplex[0])) for p in simplex[1:]]) < _NM_XATOL
+            and np.max(np.abs(np.array(fvals[1:]) - fvals[0])) < _NM_FATOL
         ):
             return OptResult(simplex[0], fvals[0], nit, True)
         centroid = np.mean(simplex[:-1], axis=0)

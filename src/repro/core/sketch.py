@@ -1,7 +1,7 @@
 """Factorized graph sketches (paper Sections 4.3-4.6, Algorithm 4.4).
 
 Step 1 of the paper's two-step estimation: summarize the partially labeled
-graph into k x k statistics matrices ``P_hat^(l)`` for path lengths
+graph into k x k path-count summaries ``M^(l)`` for path lengths
 l = 1..ell_max, in O(m k ell_max), *never* materializing ``W^l``.
 
 * Full-path frames:          ``N^(l)   = W N^(l-1)``,  ``N^(0) = X``
@@ -9,7 +9,9 @@ l = 1..ell_max, in O(m k ell_max), *never* materializing ``W^l``.
                              ``N^(2)  = W N^(1) - D X``
                              ``N^(l)  = W N^(l-1) - (D - I) N^(l-2)``   (Prop 4.3)
 * Summaries:                 ``M^(l)  = X^T N^(l)``  (k x k, collected)
-* Statistics:                ``P_hat^(l) = normalize(M^(l))``  (Eqs 9-11)
+
+Normalizing ``M^(l)`` into the statistics ``P_hat^(l)`` (Eqs 9-11) is step
+2's (``estimators._dce``); ``P`` holds the row-stochastic ones (Eq 9).
 
 Every intermediate is an n x k DataFrame; the only data leaving the cluster
 are the k x k summaries — the "factorized graph representation" whose size is
@@ -39,7 +41,8 @@ __all__ = ["GraphSketches", "build_sketches", "explicit_power_m"]
 @dataclass
 class GraphSketches:
     """The factorized representation: raw path-count summaries ``M^(l)`` and
-    their normalized statistics ``P^(l)``, for l = 1..ell_max."""
+    their row-stochastic statistics ``P^(l)``, for l = 1..ell_max.
+    ``variant`` names the normalization of ``P`` (1 when built here)."""
 
     k: int
     ell_max: int
@@ -56,7 +59,6 @@ def build_sketches(
     *,
     ell_max: int = 5,
     nb: bool = True,
-    variant: int = 1,
 ) -> GraphSketches:
     """Algorithm 4.4 over Spark DataFrames.
 
@@ -65,7 +67,7 @@ def build_sketches(
     are materialized per step and released as the recurrence advances, and
     all of them are released when a step raises.
     """
-    sk = GraphSketches(k=k, ell_max=ell_max, nb=nb, variant=variant)
+    sk = GraphSketches(k=k, ell_max=ell_max, nb=nb, variant=1)
     n_prev2: DataFrame | None = None  # N^(l-2)
     n_prev: DataFrame | None = None  # N^(l-1), from N^(0) = X
     try:
@@ -83,7 +85,7 @@ def build_sketches(
             n_prev2, n_prev = n_prev, cur
             M = xtn(labels, cur, k)
             sk.M.append(M)
-            sk.P.append(normalize_m(M, variant))
+            sk.P.append(normalize_m(M))
     finally:
         for df in (n_prev2, n_prev):
             if df is not None:

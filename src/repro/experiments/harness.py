@@ -92,23 +92,21 @@ def score(prep: PreparedGraph, beliefs: DataFrame) -> float:
     return acc
 
 
-def _estimate(prep: PreparedGraph, method: str, *, ell_max: int, lam: float,
-              restarts: int, holdout_b: int, seed: int) -> EstimationResult | None:
+def _estimate(prep: PreparedGraph, method: str, *, restarts: int,
+              seed: int) -> EstimationResult | None:
     k = prep.g.k
     if method == "gs":
         return EstimationResult(H=prep.gs_H, method="gs")
     if method == "dcer":
-        return dcer(prep.edges, prep.seeds, k, ell_max=ell_max, lam=lam,
-                    restarts=restarts, seed=seed)
+        return dcer(prep.edges, prep.seeds, k, restarts=restarts, seed=seed)
     if method == "dce":
-        return dce(prep.edges, prep.seeds, k, ell_max=ell_max, lam=lam)
+        return dce(prep.edges, prep.seeds, k)
     if method == "mce":
         return mce(prep.edges, prep.seeds, k)
     if method == "lce":
         return lce(prep.edges, prep.seeds, k)
     if method == "holdout":
-        return holdout(prep.edges, prep.seeds, k, rho_w=prep.rho_w, b=holdout_b,
-                       seed=seed)
+        return holdout(prep.edges, prep.seeds, k, rho_w=prep.rho_w, seed=seed)
     if method == "heuristic":
         return heuristic_hl(prep.gs_H)
     return None  # non-estimating methods: random / homophily / rwalk
@@ -118,24 +116,20 @@ def run_trial(
     prep: PreparedGraph,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     *,
-    ell_max: int = 5,
-    lam: float = 10.0,
     restarts: int = 10,
-    holdout_b: int = 1,
     prop_iters: int = 10,
-    s: float = 0.5,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Run every method on one prepared graph; returns a row per method with
-    estimation time (split by phase), L2 distance to GS, and end-to-end
-    propagation accuracy."""
+    """Run every method on one prepared graph at the paper's Section 5.3
+    settings (DCE and DCEr at ell_max = 5, lambda = 10; Holdout with b = 1;
+    LinBP at s = 0.5); returns a row per method with estimation time (split by
+    phase), L2 distance to GS, and end-to-end propagation accuracy."""
     k = prep.g.k
     truth_np = prep.g.truth()
     seed_nodes = set(prep.seeds.toPandas()["node"].astype(int))
     rows = []
     for method in methods:
-        est = _estimate(prep, method, ell_max=ell_max, lam=lam,
-                        restarts=restarts, holdout_b=holdout_b, seed=seed)
+        est = _estimate(prep, method, restarts=restarts, seed=seed)
         t0 = time.perf_counter()
         if method == "random":
             rng = np.random.default_rng(seed)
@@ -145,8 +139,7 @@ def run_trial(
         else:
             if method == "homophily":
                 beliefs = homophily_propagate(
-                    prep.edges, prep.seeds, k, rho_w=prep.rho_w, s=s,
-                    iters=prop_iters,
+                    prep.edges, prep.seeds, k, rho_w=prep.rho_w, iters=prop_iters,
                 )
             elif method == "rwalk":
                 beliefs = random_walk_propagate(
@@ -154,8 +147,7 @@ def run_trial(
                 )
             else:
                 beliefs = linbp_propagate(
-                    prep.edges, prep.seeds, est.H, rho_w=prep.rho_w, s=s,
-                    iters=prop_iters,
+                    prep.edges, prep.seeds, est.H, rho_w=prep.rho_w, iters=prop_iters,
                 )
             acc = score(prep, beliefs)
             prop_time = time.perf_counter() - t0

@@ -31,6 +31,8 @@ import pandas as pd
 
 __all__ = ["PlantedGraph", "planted_graph", "degree_weights"]
 
+_RESAMPLE_ROUNDS = 8  # redraws of a block's duplicate and self-loop edges
+
 
 @dataclass
 class PlantedGraph:
@@ -88,7 +90,6 @@ def planted_graph(
     dist: str = "powerlaw",
     exponent: float = 0.3,
     seed: int = 0,
-    max_resample_rounds: int = 8,
 ) -> PlantedGraph:
     """Generate a graph whose fully-labeled neighbor statistics row-normalize
     to (approximately) ``H``. Deterministic in ``seed``."""
@@ -131,7 +132,7 @@ def planted_graph(
                 continue
             got_s: list[int] = []
             got_d: list[int] = []
-            for _ in range(max_resample_rounds):
+            for _ in range(_RESAMPLE_ROUNDS):
                 if need <= 0:
                     break
                 a = rng.choice(class_nodes[c], size=need, p=weights[c])

@@ -126,13 +126,11 @@ def add(A: DataFrame, B: DataFrame, k: int, *, ca: float = 1.0, cb: float = 1.0)
     return _summed(a.unionByName(b), k)
 
 
-def scale_rows(N: DataFrame, diag: DataFrame, k: int, *, offset: float = 0.0) -> DataFrame:
-    """``(diag(d) + offset * I) @ N`` — multiply each row by a per-node scalar
-    from ``diag`` (node, deg), e.g. D N or (D - I) N with offset = -1."""
-    cols = cls_cols(k)
-    j = N.join(diag, on="node", how="inner")
-    exprs = [((F.col("deg") + offset) * F.col(c)).alias(c) for c in cols]
-    return j.select("node", *exprs)
+def scale_rows(N: DataFrame, diag: DataFrame, k: int) -> DataFrame:
+    """``diag(d) @ N`` — multiply each row by a per-node scalar from ``diag``
+    (node, deg), e.g. the random walk's ``D^-1 F``."""
+    return N.join(diag, on="node", how="inner").select(
+        "node", *[(F.col("deg") * F.col(c)).alias(c) for c in cls_cols(k)])
 
 
 def xtn(labels: DataFrame, N: DataFrame, k: int) -> np.ndarray:

@@ -36,13 +36,11 @@ def homophily_propagate(
     k: int,
     *,
     rho_w: float,
-    s: float = 0.5,
     iters: int = 10,
 ) -> DataFrame:
-    """Harmonic-functions-style propagation = LinBP with ``H = I_k``."""
-    return linbp_propagate(
-        edges, seed_labels, np.eye(k), rho_w=rho_w, s=s, iters=iters
-    )
+    """Harmonic-functions-style propagation = LinBP with ``H = I_k`` (at
+    LinBP's default s = 0.5)."""
+    return linbp_propagate(edges, seed_labels, np.eye(k), rho_w=rho_w, iters=iters)
 
 
 def random_walk_propagate(
@@ -50,11 +48,11 @@ def random_walk_propagate(
     seed_labels: DataFrame,
     k: int,
     *,
-    alpha: float = 0.85,
     iters: int = 10,
 ) -> DataFrame:
     """MultiRankWalk (paper Eq 3): ``F <- (1-alpha) U + alpha W_col F`` with
-    one personalized walk per class. ``W_col`` is the column-normalized
+    one personalized walk per class and alpha = 0.85 fixed, as in
+    ``repro.reference.random_walk``. ``W_col`` is the column-normalized
     adjacency, i.e. messages are divided by the *sender's* degree:
     ``W_col F = W (D^-1 F)``. A step joins ``F`` to the inverse degrees, then
     joins the edges and sums their rows together with ``(1-alpha) U`` in one
@@ -75,6 +73,8 @@ def random_walk_propagate(
             for c in cols
         ],
     ))
+
+    alpha = 0.85
 
     def step(Fdf: DataFrame) -> DataFrame:
         return add(U, spmm(edges, scale_rows(Fdf, inv_deg, k), k), k,

@@ -143,10 +143,11 @@ def nb_path_counts_bruteforce(src, dst, n: int, ell: int) -> np.ndarray:
     return counts
 
 
-def power_iteration_rho(src, dst, n: int, iters: int = 60, seed: int = 0) -> float:
+def power_iteration_rho(src, dst, n: int, iters: int = 60) -> float:
     """Spectral radius of the symmetric adjacency W by power iteration
-    (stand-in for the paper's PyAMG approximate method)."""
-    rng = np.random.default_rng(seed)
+    (stand-in for the paper's PyAMG approximate method), from a fixed random
+    start (generator seed 0), so the result is deterministic."""
+    rng = np.random.default_rng(0)
     v = rng.random(n) + 0.1
     v /= np.linalg.norm(v)
     rho = 0.0
@@ -193,12 +194,12 @@ def linbp(
     return F
 
 
-def random_walk(src, dst, seed_labels, n: int, k: int, *, alpha: float = 0.85,
-                iters: int = 10) -> np.ndarray:
+def random_walk(src, dst, seed_labels, n: int, k: int, *, iters: int = 10) -> np.ndarray:
     """Reference MultiRankWalk (paper Eq 3): ``F <- (1-alpha) U + alpha W_col F``
-    from ``F = U``, with ``W_col = W D^-1`` the column-normalized adjacency and
-    U the seed one-hot matrix with each class column normalized to sum 1 (a
-    class with no seeds keeps a zero column)."""
+    from ``F = U``, with alpha = 0.85 fixed, ``W_col = W D^-1`` the
+    column-normalized adjacency and U the seed one-hot matrix with each class
+    column normalized to sum 1 (a class with no seeds keeps a zero column)."""
+    alpha = 0.85
     U = onehot(seed_labels, n, k)
     sums = U.sum(axis=0)
     U = U / np.where(sums > 0, sums, 1.0)

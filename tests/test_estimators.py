@@ -21,6 +21,7 @@ from repro.core.estimators import (
     mce,
     restart_points,
 )
+from repro.core.gradient import dce_energy, dce_weights
 from repro.core.optimize import OptResult
 from repro.core.sketch import GraphSketches, build_sketches
 from repro.datasets import make_analog
@@ -49,8 +50,7 @@ def est_graph(spark):
 
 @pytest.fixture(scope="module")
 def est_sketches(est_graph):
-    return build_sketches(est_graph["edges"], est_graph["seeds"], 3,
-                          ell_max=5, nb=True, variant=1)
+    return build_sketches(est_graph["edges"], est_graph["seeds"], 3, ell_max=5, nb=True)
 
 
 def _check_valid(H, k=3):
@@ -246,30 +246,46 @@ def test_estimation_then_propagation_matches_gs_accuracy(est_graph, est_sketches
     assert abs(accs["dcer"] - accs["gs"]) < 0.05
 
 
-@pytest.fixture(scope="module")
-def deep_v3_sketches(est_graph):
-    """Eight NB levels normalized by variant 3; ``M`` does not depend on the
-    variant, so these also serve variant-1 checks through ``M``."""
-    return build_sketches(est_graph["edges"], est_graph["seeds"], 3, ell_max=8,
-                          nb=True, variant=3)
-
-
-def test_sketches_of_another_variant_are_renormalized(est_graph, est_sketches,
-                                                      deep_v3_sketches):
-    """Variant-1 sketches give the same variant-3 estimate as variant-3
-    sketches."""
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_step2_fits_the_variant_normalized_summaries(est_graph, est_sketches, variant):
+    """Step 2 normalizes the sketch's ``M`` by the variant it is given
+    (Eqs 9-11): MCE, DCE and DCEr on one set of sketches each report the
+    energy that ``dce_energy`` gives on ``normalize_m(M, variant)`` at their
+    estimate."""
     args = (est_graph["edges"], est_graph["seeds"], 3)
-    for est, kw in ((dce, {}), (dcer, dict(restarts=2, seed=0))):
-        from_v1 = est(*args, sketches=est_sketches, variant=3, **kw)
-        from_v3 = est(*args, sketches=deep_v3_sketches, variant=3, **kw)
-        assert np.array_equal(from_v1.H, from_v3.H)
-        assert from_v1.energy == from_v3.energy
+    fits = ((mce(*args, variant=variant, sketches=est_sketches), 1, 1.0),
+            (dce(*args, variant=variant, sketches=est_sketches), 5, 10.0),
+            (dcer(*args, variant=variant, restarts=2, seed=0, sketches=est_sketches), 5, 10.0))
+    for est, ell_max, lam in fits:
+        P = [R.normalize_m(M, variant) for M in est_sketches.M[:ell_max]]
+        energy = dce_energy(compat.H_to_h(est.H), P, dce_weights(lam, ell_max), 3)
+        assert est.energy == pytest.approx(energy, rel=1e-12), est.method
 
 
-def test_deep_nb_statistics_track_h_power(est_graph, deep_v3_sketches):
+def test_prebuilt_sketches_must_fit_the_estimate(tiny_graph, tiny_seeds):
+    """Given sketches are checked, not truncated or reinterpreted: too few
+    levels, another k, or full-path summaries raise ``ValueError``."""
+    sk3 = _numpy_sketches(tiny_graph, tiny_seeds, ell_max=3)
+    dcer(None, None, 3, ell_max=3, sketches=sk3, restarts=2, seed=0)  # fits: no error
+    full = GraphSketches(k=3, ell_max=3, nb=False, variant=1, M=sk3.M, P=sk3.P)
+    for call in (lambda: dcer(None, None, 3, ell_max=5, sketches=sk3),
+                 lambda: dce(None, None, 3, ell_max=4, sketches=sk3),
+                 lambda: mce(None, None, 4, sketches=sk3),
+                 lambda: dcer(None, None, 3, ell_max=3, sketches=full)):
+        with pytest.raises(ValueError, match="non-backtracking sketches"):
+            call()
+
+
+@pytest.fixture(scope="module")
+def deep_sketches(est_graph):
+    """Eight NB levels."""
+    return build_sketches(est_graph["edges"], est_graph["seeds"], 3, ell_max=8, nb=True)
+
+
+def test_deep_nb_statistics_track_h_power(est_graph, deep_sketches):
     """Fig 5a (T3): the length-8 non-backtracking statistics (variant 1)
     track H^8."""
-    P8 = R.normalize_m(deep_v3_sketches.M[7], 1)
+    P8 = R.normalize_m(deep_sketches.M[7], 1)
     true = np.linalg.matrix_power(est_graph["H"], 8)[0, 1]
     assert abs(P8[0, 1] - true) < 0.2
 

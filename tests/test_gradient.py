@@ -11,6 +11,7 @@ from repro.core import compat
 from repro.core.gradient import (
     dce_energy,
     dce_gradient,
+    dce_weights,
     structure_project,
 )
 
@@ -114,3 +115,12 @@ def test_structure_project_matches_parameterization_jacobian():
             hm[p] -= eps
             dH = (compat.h_to_H(hp, k) - compat.h_to_H(hm, k)) / (2 * eps)
             assert out[p] == pytest.approx(float(np.sum(dH * G)), rel=1e-5, abs=1e-6)
+
+
+def test_energy_and_gradient_need_one_weight_per_level():
+    """Weights for more levels than the statistics hold raise instead of
+    fitting the levels there are with the wrong weights."""
+    P, w, h = _random_targets(3, 3, seed=1), dce_weights(10.0, 5), compat.uniform_h(3)
+    for fun in (dce_energy, dce_gradient):
+        with pytest.raises(ValueError):
+            fun(h, P, w, 3)

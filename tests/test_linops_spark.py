@@ -159,8 +159,6 @@ def test_scale_rows_degree(tiny_spark, spark):
     got = to_numpy_frame(scale_rows(X, deg, k), tiny_spark.n, k)
     d = R.degrees(tiny_spark.src, tiny_spark.n)
     assert np.allclose(got, d[:, None] * tiny_spark.X_seed)
-    got2 = to_numpy_frame(scale_rows(X, deg, k, offset=-1.0), tiny_spark.n, k)
-    assert np.allclose(got2, (d - 1.0)[:, None] * tiny_spark.X_seed)
 
 
 def test_xtn_vs_numpy(tiny_spark, spark):

@@ -23,13 +23,13 @@ from repro.oracle import assert_equivalent
 @pytest.fixture(scope="module")
 def sketches_nb(tiny_spark):
     return build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k,
-                          ell_max=4, nb=True, variant=1)
+                          ell_max=4, nb=True)
 
 
 @pytest.fixture(scope="module")
 def sketches_full(tiny_spark):
     return build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k,
-                          ell_max=4, nb=False, variant=1)
+                          ell_max=4, nb=False)
 
 
 def test_sketch_shapes(sketches_nb):
@@ -221,17 +221,9 @@ def test_sketches_via_duckdb_oracle_l2(tiny_spark, spark):
 
 def test_fully_labeled_l1_is_gs(tiny_spark):
     sk = build_sketches(tiny_spark.edges, tiny_spark.all_labels, tiny_spark.k,
-                        ell_max=1, nb=True, variant=1)
+                        ell_max=1, nb=True)
     # fully labeled, l=1, variant 1 == the measured GS ~ planted H
     assert np.abs(sk.P[0] - tiny_spark.g.H_planted).max() < 0.12  # n=300 noise
-
-
-@pytest.mark.parametrize("variant", [1, 2, 3])
-def test_variants_match_reference_normalization(tiny_spark, variant):
-    sk = build_sketches(tiny_spark.edges, tiny_spark.seeds, tiny_spark.k,
-                        ell_max=2, nb=True, variant=variant)
-    for M, P in zip(sk.M, sk.P):
-        assert np.allclose(P, R.normalize_m(M, variant))
 
 
 def test_nb_consistency_on_larger_graph(spark):
