@@ -262,6 +262,20 @@ def test_step2_fits_the_variant_normalized_summaries(est_graph, est_sketches, va
         assert est.energy == pytest.approx(energy, rel=1e-12), est.method
 
 
+def test_sketches_of_another_variant_are_renormalized(est_graph, est_sketches,
+                                                      deep_sketches):
+    """Variant-1 sketches give the same variant-3 estimate as sketches whose
+    ``P`` holds the variant-3 statistics of the same ``M``."""
+    deep_v3 = GraphSketches(k=3, ell_max=8, nb=True, variant=3, M=deep_sketches.M,
+                            P=[R.normalize_m(M, 3) for M in deep_sketches.M])
+    args = (est_graph["edges"], est_graph["seeds"], 3)
+    for est, kw in ((dce, {}), (dcer, dict(restarts=2, seed=0))):
+        from_v1 = est(*args, sketches=est_sketches, variant=3, **kw)
+        from_v3 = est(*args, sketches=deep_v3, variant=3, **kw)
+        assert np.array_equal(from_v1.H, from_v3.H)
+        assert from_v1.energy == from_v3.energy
+
+
 def test_prebuilt_sketches_must_fit_the_estimate(tiny_graph, tiny_seeds):
     """Given sketches are checked, not truncated or reinterpreted: too few
     levels, another k, or full-path summaries raise ``ValueError``."""

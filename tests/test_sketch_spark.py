@@ -226,6 +226,24 @@ def test_fully_labeled_l1_is_gs(tiny_spark):
     assert np.abs(sk.P[0] - tiny_spark.g.H_planted).max() < 0.12  # n=300 noise
 
 
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_variants_match_reference_normalization(tiny_spark, sketches_nb, variant):
+    """Each variant's statistics (Eqs 9-11) of the Spark summaries equal that
+    normalization of the numpy reference's ``M`` and have its defining
+    property; the sketch's own ``P`` is variant 1."""
+    frames = R.nb_n_frames(tiny_spark.src, tiny_spark.dst, tiny_spark.X_seed, 4)
+    for M, P_own, N in zip(sketches_nb.M, sketches_nb.P, frames):
+        P = R.normalize_m(M, variant)
+        assert np.allclose(P, R.normalize_m(R.m_matrix(tiny_spark.X_seed, N), variant))
+        r = M.sum(axis=1)
+        if variant == 1:
+            assert np.allclose(P.sum(axis=1), 1.0) and np.array_equal(P_own, P)
+        elif variant == 2:
+            assert np.allclose(np.sqrt(r)[:, None] * P * np.sqrt(r)[None, :], M)
+        else:
+            assert np.isclose(P.mean(), 1.0 / tiny_spark.k)
+
+
 def test_nb_consistency_on_larger_graph(spark):
     """On a denser graph the NB statistics must track H^l much closer than the
     full-path statistics on the diagonal (Theorem 4.1 / Fig 5a shape)."""
