@@ -21,7 +21,7 @@ from repro.core.estimators import (
     mce,
     restart_points,
 )
-from repro.core.gradient import dce_energy, dce_weights
+from repro.core.gradient import dce_energy, dce_gradient, dce_weights
 from repro.core.optimize import OptResult
 from repro.core.sketch import GraphSketches, build_sketches
 from repro.datasets import make_analog
@@ -148,19 +148,26 @@ def test_mce_is_dce_with_ell_max_1(est_graph, est_sketches):
 
 
 def test_restart_records_align(est_graph, est_sketches):
-    """Every step-2 estimator reports each start's energy, iteration count and
-    convergence flag; the best start is the reported energy."""
+    """Every step-2 estimator reports each start's energy, gradient norm,
+    iteration count and convergence flag; the best start is the reported
+    energy, and its gradient norm is that of ``dce_gradient`` at the
+    estimate."""
     args = (est_graph["edges"], est_graph["seeds"], 3)
-    for est, n_starts in (
-        (mce(*args, sketches=est_sketches), 1),
-        (dce(*args, sketches=est_sketches), 1),
-        (dcer(*args, sketches=est_sketches, restarts=10, seed=0), 9),
+    P = est_sketches.P
+    for est, n_starts, ell_max, lam in (
+        (mce(*args, sketches=est_sketches), 1, 1, 1.0),
+        (dce(*args, sketches=est_sketches), 1, 5, 10.0),
+        (dcer(*args, sketches=est_sketches, restarts=10, seed=0), 9, 5, 10.0),
     ):
         energies = est.extra["restart_energies"]
+        grad_norm = est.extra["restart_grad_norm"]
         nit = est.extra["restart_nit"]
         converged = est.extra["restart_converged"]
-        assert len(energies) == len(nit) == len(converged) == n_starts
+        assert len(energies) == len(grad_norm) == len(nit) == len(converged) == n_starts
         assert min(energies) == est.energy
+        at_estimate = dce_gradient(compat.H_to_h(est.H), P[:ell_max], dce_weights(lam, ell_max), 3)
+        assert grad_norm[energies.index(est.energy)] == np.linalg.norm(at_estimate)
+        assert all(c and 0.0 <= g < 1e-6 for c, g in zip(converged, grad_norm))
         assert all(n >= 1 for n in nit)
         assert all(isinstance(c, bool) for c in converged)
 
@@ -435,9 +442,13 @@ def test_one_seed_per_class(spark, est_graph):
 
 def test_unconverged_step2_warns(monkeypatch, hepth_sketches, tiny_spark):
     """An estimate whose optimization stopped at the iteration cap says so:
-    a RuntimeWarning, and ``extra["converged"]`` is False."""
-    monkeypatch.setattr(estimators, "gradient_descent",
-                        lambda fun, grad, x0: OptResult(x0, fun(x0), 2000, False))
+    a RuntimeWarning, and ``extra["converged"]`` is False. DCEr solves by
+    ``gradient_descent`` (Levenberg-Marquardt), LCE by ``bfgs``."""
+    def capped(fun, grad, x0):
+        return OptResult(x0, fun(x0), 2000, False)
+
+    monkeypatch.setattr(estimators, "gradient_descent", capped)
+    monkeypatch.setattr(estimators, "bfgs", capped)
     with pytest.warns(RuntimeWarning, match="without converging"):
         est = dcer(None, None, 11, sketches=hepth_sketches, restarts=3, seed=0)
     assert est.extra["converged"] is False

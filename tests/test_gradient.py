@@ -1,5 +1,6 @@
-"""Tests for the DCE energy and the explicit gradient of Prop 4.7 — the
-load-bearing math of the paper's optimization step."""
+"""Tests for the DCE energy, the explicit gradient of Prop 4.7 and the
+Gauss-Newton model step 2 solves with — the load-bearing math of the paper's
+optimization step."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference as R
 from repro.core import compat
 from repro.core.gradient import (
     dce_energy,
+    dce_gauss_newton,
     dce_gradient,
     dce_weights,
     structure_project,
@@ -121,6 +124,55 @@ def test_energy_and_gradient_need_one_weight_per_level():
     """Weights for more levels than the statistics hold raise instead of
     fitting the levels there are with the wrong weights."""
     P, w, h = _random_targets(3, 3, seed=1), dce_weights(10.0, 5), compat.uniform_h(3)
-    for fun in (dce_energy, dce_gradient):
+    for fun in (dce_energy, dce_gradient, dce_gauss_newton):
         with pytest.raises(ValueError):
             fun(h, P, w, 3)
+
+
+def _residuals(h, P, w, k):
+    """The stacked DCE residuals ``sqrt(w_l) vec(H^l - P_hat^(l))``."""
+    H = compat.h_to_H(h, k)
+    return np.concatenate([np.sqrt(wl) * (np.linalg.matrix_power(H, ell) - Z).ravel()
+                           for ell, (wl, Z) in enumerate(zip(w, P), start=1)])
+
+
+def _check_gauss_newton(h, P, w, k):
+    """``dce_gauss_newton`` against the definitions: its E is ``dce_energy``,
+    ``2 J^T r`` is ``dce_gradient`` and ``J^T J`` is that of the
+    central-difference Jacobian of the stacked residuals."""
+    E, JtJ, Jtr = dce_gauss_newton(h, P, w, k)
+    assert E == pytest.approx(dce_energy(h, P, w, k), rel=1e-12)
+    assert np.allclose(2.0 * Jtr, dce_gradient(h, P, w, k), rtol=0.0, atol=1e-10)
+    eps = 1e-6
+    J = np.column_stack([(_residuals(h + eps * e, P, w, k) - _residuals(h - eps * e, P, w, k))
+                         / (2 * eps) for e in np.eye(len(h))])
+    fd = J.T @ J
+    assert JtJ.shape == fd.shape == (compat.n_free_params(k),) * 2
+    assert np.allclose(JtJ, fd, rtol=1e-5, atol=1e-8 * np.abs(fd).max())
+
+
+def _variant1_targets(rng, k, ell_max):
+    """Row-normalized (variant-1, so not symmetric) statistics of random counts."""
+    return [R.normalize_m(rng.integers(0, 50, (k, k)).astype(float), 1) for _ in range(ell_max)]
+
+
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_dce_gauss_newton_matches_definitions(k, ell_max, seed):
+    """At a random symmetric doubly-stochastic H, against variant-1 statistics."""
+    rng = np.random.default_rng(seed)
+    P = _variant1_targets(rng, k, ell_max)
+    w = dce_weights(float(rng.uniform(0.1, 10.0)), ell_max)
+    _check_gauss_newton(compat.H_to_h(compat.sinkhorn(rng.random((k, k)))), P, w, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("point", ["uniform", "identity"])
+def test_dce_gauss_newton_at_repeated_eigenvalues(k, point):
+    """The uniform H (eigenvalue 0, k - 1 times) and H = I (eigenvalue 1, k
+    times), where a divided-difference form of Gamma_l would divide by 0;
+    k = 2 has a single free parameter."""
+    h = compat.uniform_h(k) if point == "uniform" else compat.H_to_h(np.eye(k))
+    P = _variant1_targets(np.random.default_rng(k), k, 5)
+    _check_gauss_newton(h, P, dce_weights(10.0, 5), k)

@@ -1,8 +1,9 @@
-"""Tests for the from-scratch optimizers (BFGS + Nelder-Mead).
+"""Tests for the from-scratch optimizers (Levenberg-Marquardt, BFGS and
+Nelder-Mead).
 
 The ``test_gd_*`` tests predate BFGS: they checked the gradient descent it
-replaced and now check BFGS at the same bounds (``estimators`` still binds the
-step-2 solver as ``gradient_descent``)."""
+replaced and now check BFGS at the same bounds. The ``test_lm_*`` tests check
+Levenberg-Marquardt, which ``estimators`` binds as ``gradient_descent``."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from repro.core import compat
 from repro.core.gradient import dce_energy, dce_gradient
-from repro.core.optimize import bfgs, nelder_mead
+from repro.core.optimize import bfgs, levenberg_marquardt, nelder_mead
 
 
 def test_gd_quadratic():
@@ -113,3 +114,62 @@ def test_gd_ell2_only_has_symmetric_ambiguity():
         tol=1e-16,
     )
     assert res.fun < 1e-6
+
+
+def _least_squares(residuals, jacobian):
+    """``fun`` and the Gauss-Newton ``model`` of ``||residuals(x)||^2``."""
+    def fun(x):
+        r = residuals(x)
+        return float(r @ r)
+
+    def model(x):
+        r, J = residuals(x), jacobian(x)
+        return float(r @ r), J.T @ J, J.T @ r
+
+    return fun, model
+
+
+def _rosenbrock():
+    return _least_squares(lambda x: np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]]),
+                          lambda x: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]))
+
+
+def test_lm_linear_least_squares_in_one_step():
+    """The first step is the undamped Gauss-Newton one, so a linear problem is
+    solved by the first point tried."""
+    rng = np.random.default_rng(0)
+    A, b = rng.random((8, 3)), rng.random(8)
+    fun, model = _least_squares(lambda x: A @ x - b, lambda x: A)
+    tried = []
+    res = levenberg_marquardt(lambda x: tried.append(x.copy()) or fun(x), model, np.zeros(3))
+    solution = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert res.converged
+    assert len(tried) == 2 and np.allclose(tried[1], solution, atol=1e-12)
+    assert np.allclose(res.x, solution, atol=1e-12)
+
+
+def test_lm_rosenbrock_reaches_minimum():
+    fun, model = _rosenbrock()
+    res = levenberg_marquardt(fun, model, np.array([-1.2, 1.0]))
+    assert res.converged
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-6) and res.fun < 1e-12
+
+
+def test_lm_already_at_minimum():
+    fun, model = _rosenbrock()
+    res = levenberg_marquardt(fun, model, np.array([1.0, 1.0]))
+    assert res.converged and res.fun == 0.0 and np.array_equal(res.x, [1.0, 1.0])
+
+
+def test_lm_deterministic():
+    fun, model = _rosenbrock()
+    r1 = levenberg_marquardt(fun, model, np.array([-1.2, 1.0]))
+    r2 = levenberg_marquardt(fun, model, np.array([-1.2, 1.0]))
+    assert np.array_equal(r1.x, r2.x) and r1.nit == r2.nit
+
+
+def test_lm_iteration_cap_is_reported():
+    fun, model = _rosenbrock()
+    res = levenberg_marquardt(fun, model, np.array([-1.2, 1.0]), max_iter=3)
+    assert not res.converged and res.nit == 3
+    assert res.fun < fun(np.array([-1.2, 1.0]))
