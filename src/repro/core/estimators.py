@@ -82,26 +82,24 @@ def gold_standard(edges: DataFrame, all_labels: DataFrame, k: int) -> Estimation
     )
 
 
-def _minimize_energy(method: str, solve: Callable, energy: Callable, gradient: Callable,
-                     starts: list[np.ndarray]) -> tuple[np.ndarray, float, dict]:
+def _minimize_energy(method: str, solve: Callable, gradient: Callable,
+                     starts: list[np.ndarray]) -> tuple[OptResult, dict]:
     """Step 2 of every sketch-based estimator: one ``solve(h0)`` per start;
-    returns the first lowest-energy point, its energy and the per-start
-    records. Each start's energy and gradient norm are ``energy`` and
-    ``gradient`` at the point its solve returned, so what is reported is the
-    objective's definition, not the solver's model of it.
+    returns the first lowest-energy result and the per-start records. The
+    solvers compare and return the objective's own value (``res.fun``), not a
+    model of it, and each start's gradient norm is ``gradient`` at the point
+    its solve returned.
     ``extra["converged"]`` is the chosen start's flag, and this is the one
     place that warns (``RuntimeWarning``) when that start stopped at the
     iteration cap, so such an estimate is never used silently."""
     runs = [solve(h0) for h0 in starts]
-    energies = [energy(res.x) for res in runs]
-    i = int(np.argmin(energies))
-    best = runs[i]
+    best = min(runs, key=lambda res: res.fun)
     if not best.converged:
         warnings.warn(f"{method}: step 2 stopped at {best.nit} iterations without converging "
-                      f"(energy {energies[i]:.6g}); the estimate is not at a minimum",
+                      f"(energy {best.fun:.6g}); the estimate is not at a minimum",
                       RuntimeWarning)
-    return best.x, energies[i], {
-        "restart_energies": energies,
+    return best, {
+        "restart_energies": [res.fun for res in runs],
         "restart_grad_norm": [float(np.linalg.norm(gradient(res.x))) for res in runs],
         "restart_nit": [res.nit for res in runs],
         "restart_converged": [res.converged for res in runs],
@@ -112,15 +110,15 @@ def _minimize_energy(method: str, solve: Callable, energy: Callable, gradient: C
 def _two_step(method: str, k: int, sketch: Callable, objective: Callable) -> EstimationResult:
     """The paper's two steps, timed apart: ``sketch()`` is step 1, the only
     part that reads the graph, and ``objective(sketch())`` gives step 2's
-    solver, energy, gradient and starts. The one place the split is measured
-    and an estimate is built."""
+    solver, gradient and starts. The one place the split is measured and an
+    estimate is built."""
     t0 = time.perf_counter()
     sk = sketch()
     t1 = time.perf_counter()
-    h, energy, extra = _minimize_energy(method, *objective(sk))
+    best, extra = _minimize_energy(method, *objective(sk))
     return EstimationResult(
-        H=compat.h_to_H(h, k), method=method, sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=energy, extra=extra,
+        H=compat.h_to_H(best.x, k), method=method, sketch_time=t1 - t0,
+        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
     )
 
 
@@ -138,17 +136,15 @@ def _dce(edges: DataFrame, seed_labels: DataFrame, k: int, method: str, starts: 
         raise ValueError(f"{method} needs non-backtracking sketches with k = {k} and at least "
                          f"{ell_max} levels, got {sketches.k}, {sketches.ell_max}, nb={sketches.nb}")
 
-    def objective(sk: GraphSketches) -> tuple[Callable, Callable, Callable, list[np.ndarray]]:
+    def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
         P = [normalize_m(M, variant) for M in sk.M[:ell_max]]
         w = dce_weights(lam, ell_max)
 
-        def energy(h: np.ndarray) -> float:
-            return dce_energy(h, P, w, k)
-
         def solve(h0: np.ndarray) -> OptResult:
-            return gradient_descent(energy, lambda h: dce_gauss_newton(h, P, w, k), h0)
+            return gradient_descent(lambda h: dce_energy(h, P, w, k),
+                                    lambda h: dce_gauss_newton(h, P, w, k), h0)
 
-        return solve, energy, (lambda h: dce_gradient(h, P, w, k)), starts(sk)
+        return solve, (lambda h: dce_gradient(h, P, w, k)), starts(sk)
 
     return _two_step(method, k, lambda: sketches or build_sketches(
         edges, seed_labels, k, ell_max=ell_max), objective)
@@ -185,7 +181,7 @@ def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
     ``A = X^T W X = M^(1)`` and ``B = X^T W^2 X = M^(2)``. Optimization never
     re-touches the graph (the paper evaluated LCE unfactorized, which is why
     its Fig 6k LCE line is far slower; see EXPERIMENTS.md)."""
-    def objective(sk: GraphSketches) -> tuple[Callable, Callable, Callable, list[np.ndarray]]:
+    def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
         A, B = sk.M
 
         def energy(h: np.ndarray) -> float:
@@ -208,7 +204,7 @@ def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
         # point; deterministic.
         h0 = compat.uniform_h(k) + 1e-3 * (np.arange(compat.n_free_params(k)) % 3 - 1)
         # Not a sum of squares, so BFGS on the gradient rather than LM.
-        return (lambda h: bfgs(energy, grad, h)), energy, grad, [h0]
+        return (lambda h: bfgs(energy, grad, h)), grad, [h0]
 
     return _two_step("lce", k, lambda: build_sketches(edges, seed_labels, k, ell_max=2, nb=False),
                      objective)

@@ -36,8 +36,10 @@ _REL_TOL = 1e-12
 _ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
 # Levenberg-Marquardt damping: the factors on an accepted and on a rejected
 # step, the damping a first rejection sets (times the largest diagonal entry
-# of J^T J), and the most rejections in a row.
+# of J^T J), the most rejections in a row, and the iteration cap (that of
+# :func:`bfgs`).
 _LM_DOWN, _LM_UP, _LM_FLOOR, _LM_MAX_REJECTS = 0.3, 10.0, 1e-2, 40
+_LM_MAX_ITER = 2000
 # Nelder-Mead: the initial simplex step, the x and f convergence tolerances.
 _NM_STEP, _NM_XATOL, _NM_FATOL = 0.1, 1e-4, 1e-6
 
@@ -59,8 +61,6 @@ def levenberg_marquardt(
     fun: Callable[[np.ndarray], float],
     model: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
     x0: np.ndarray,
-    *,
-    max_iter: int = 2000,
 ) -> OptResult:
     """Levenberg-Marquardt (Nocedal & Wright Section 10.3) for a sum of
     squares ``f(x) = ||r(x)||^2``, given ``fun(x) = f(x)`` and its
@@ -74,15 +74,15 @@ def levenberg_marquardt(
     Stops when an accepted step no longer reduces f by more than
     ``1e-12 * max(1, |f|)`` (the rule of :func:`bfgs`), when the gradient
     ``2 J^T r`` vanishes, or after 40 rejections in a row (no step makes
-    progress). ``fun`` gives every f compared and returned; the model gives
-    only the steps. ``nit`` counts the iterations. Deterministic given
-    ``x0``.
+    progress); unconverged after 2,000 iterations. ``fun`` gives every f
+    compared and returned; the model gives only the steps. ``nit`` counts the
+    iterations. Deterministic given ``x0``.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = fun(x)
     _, JtJ, Jtr = model(x)
     mu, rejects, eye = 0.0, 0, np.eye(x.size)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _LM_MAX_ITER + 1):
         if 4.0 * float(Jtr @ Jtr) < 1e-20:
             return OptResult(x, fx, it, True)
         cand = x - np.linalg.solve(JtJ + mu * eye, Jtr)
@@ -99,7 +99,7 @@ def levenberg_marquardt(
             if rejects == _LM_MAX_REJECTS:
                 return OptResult(x, fx, it, True)  # no step makes progress
             mu = max(mu * _LM_UP, _LM_FLOOR * float(np.max(np.diag(JtJ))))
-    return OptResult(x, fx, max_iter, False)
+    return OptResult(x, fx, _LM_MAX_ITER, False)
 
 
 def bfgs(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import compat
+from repro.core import compat, optimize
 from repro.core.gradient import dce_energy, dce_gradient
 from repro.core.optimize import bfgs, levenberg_marquardt, nelder_mead
 
@@ -168,8 +168,9 @@ def test_lm_deterministic():
     assert np.array_equal(r1.x, r2.x) and r1.nit == r2.nit
 
 
-def test_lm_iteration_cap_is_reported():
+def test_lm_iteration_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(optimize, "_LM_MAX_ITER", 3)
     fun, model = _rosenbrock()
-    res = levenberg_marquardt(fun, model, np.array([-1.2, 1.0]), max_iter=3)
+    res = levenberg_marquardt(fun, model, np.array([-1.2, 1.0]))
     assert not res.converged and res.nit == 3
     assert res.fun < fun(np.array([-1.2, 1.0]))
