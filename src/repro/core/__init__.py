@@ -8,10 +8,11 @@ Submodules:
                    DataFrames: the graph summaries ``M^(l)``, ``P^(l)``.
 * ``gradient``   — DCE energy (Eq 13/14; MCE is ell_max = 1), its weights and
                    its explicit gradient (Prop 4.7).
-* ``optimize``   — from-scratch optimizers (BFGS with Armijo line search,
-                   one call per start of the estimators' restart loop;
-                   Nelder-Mead for the gradient-free Holdout baseline).
+* ``optimize``   — from-scratch optimizers (Levenberg-Marquardt, one call per
+                   start of the estimators' restart loop; Nelder-Mead for the
+                   gradient-free Holdout baseline).
 * ``estimators`` — MCE / LCE / DCE / DCEr / Holdout / heuristic / gold standard;
-                   all but Holdout read the graph only through ``sketch``, and
-                   MCE, LCE, DCE and DCEr fit through one restart loop.
+                   all but Holdout read the graph only through ``sketch``;
+                   MCE, DCE and DCEr fit through one restart loop, and LCE is
+                   one linear solve.
 """

@@ -29,14 +29,8 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core import compat
-from repro.core.gradient import (
-    dce_energy,
-    dce_gauss_newton,
-    dce_gradient,
-    dce_weights,
-    structure_project,
-)
-from repro.core.optimize import OptResult, bfgs, nelder_mead
+from repro.core.gradient import dce_energy, dce_gauss_newton, dce_gradient, dce_weights
+from repro.core.optimize import OptResult, nelder_mead
 # The DCE family's solver, bound under the name pipebench's tracing hooks
 # patch for step 2 (one call per start).
 from repro.core.optimize import levenberg_marquardt as gradient_descent
@@ -84,7 +78,7 @@ def gold_standard(edges: DataFrame, all_labels: DataFrame, k: int) -> Estimation
 
 def _minimize_energy(method: str, solve: Callable, gradient: Callable,
                      starts: list[np.ndarray]) -> tuple[OptResult, dict]:
-    """Step 2 of every sketch-based estimator: one ``solve(h0)`` per start;
+    """Step 2 of MCE, DCE and DCEr: one ``solve(h0)`` per start;
     returns the first lowest-energy result and the per-start records. The
     solvers compare and return the objective's own value (``res.fun``), not a
     model of it, and each start's gradient norm is ``gradient`` at the point
@@ -107,18 +101,18 @@ def _minimize_energy(method: str, solve: Callable, gradient: Callable,
     }
 
 
-def _two_step(method: str, k: int, sketch: Callable, objective: Callable) -> EstimationResult:
+def _two_step(method: str, sketch: Callable, fit: Callable) -> EstimationResult:
     """The paper's two steps, timed apart: ``sketch()`` is step 1, the only
-    part that reads the graph, and ``objective(sketch())`` gives step 2's
-    solver, gradient and starts. The one place the split is measured and an
-    estimate is built."""
+    part that reads the graph, and ``fit(sketch())`` is step 2, returning the
+    estimate, its energy and its ``extra``. The one place the split is
+    measured and an estimate is built."""
     t0 = time.perf_counter()
     sk = sketch()
     t1 = time.perf_counter()
-    best, extra = _minimize_energy(method, *objective(sk))
+    H, energy, extra = fit(sk)
     return EstimationResult(
-        H=compat.h_to_H(best.x, k), method=method, sketch_time=t1 - t0,
-        opt_time=time.perf_counter() - t1, energy=best.fun, extra=extra,
+        H=H, method=method, sketch_time=t1 - t0,
+        opt_time=time.perf_counter() - t1, energy=energy, extra=extra,
     )
 
 
@@ -136,7 +130,7 @@ def _dce(edges: DataFrame, seed_labels: DataFrame, k: int, method: str, starts: 
         raise ValueError(f"{method} needs non-backtracking sketches with k = {k} and at least "
                          f"{ell_max} levels, got {sketches.k}, {sketches.ell_max}, nb={sketches.nb}")
 
-    def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
+    def fit(sk: GraphSketches) -> tuple[np.ndarray, float, dict]:
         P = [normalize_m(M, variant) for M in sk.M[:ell_max]]
         w = dce_weights(lam, ell_max)
 
@@ -144,10 +138,12 @@ def _dce(edges: DataFrame, seed_labels: DataFrame, k: int, method: str, starts: 
             return gradient_descent(lambda h: dce_energy(h, P, w, k),
                                     lambda h: dce_gauss_newton(h, P, w, k), h0)
 
-        return solve, (lambda h: dce_gradient(h, P, w, k)), starts(sk)
+        best, extra = _minimize_energy(method, solve, lambda h: dce_gradient(h, P, w, k),
+                                       starts(sk))
+        return compat.h_to_H(best.x, k), best.fun, extra
 
-    return _two_step(method, k, lambda: sketches or build_sketches(
-        edges, seed_labels, k, ell_max=ell_max), objective)
+    return _two_step(method, lambda: sketches or build_sketches(
+        edges, seed_labels, k, ell_max=ell_max), fit)
 
 
 def mce(
@@ -165,6 +161,28 @@ def mce(
                 ell_max=1, lam=1.0, variant=variant, sketches=sketches)
 
 
+def _lce_fit(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """The H minimizing LCE's ``E*(H) = -<A, H>^2 / tr(H^T B H)`` and that
+    minimum, in closed form.
+
+    Eq 6 is affine, ``vec(H) = M x`` with ``M = [A_eq6 | b_eq6]`` and
+    ``x = [h; 1]``, so ``<A, H> = alpha^T x`` with ``alpha = M^T vec(A)`` and
+    ``tr(H^T B H) = x^T Q x`` with ``Q = M^T (B kron I_k) M``. The ratio
+    ``(alpha^T x)^2 / x^T Q x`` is largest at ``x ~ Q^+ alpha`` (Cauchy-Schwarz
+    in Q's inner product), and ``h = x[:-1] / x[-1]``. Q is singular when the
+    seeds do not pin H down (e.g. one seeded class at k >= 3); least squares
+    then picks the minimum-norm minimizer. With ``A = 0`` (no seed has a
+    seeded neighbour) every H is optimal, and this returns exactly J/k with
+    energy 0: Eq 6 maps the uniform h to J/k only up to rounding, and LinBP's
+    rescaling would amplify that rounding into a pattern."""
+    if not A.any():
+        return np.full((k, k), 1.0 / k), 0.0
+    M = np.column_stack(compat.eq6_map(k))
+    alpha, Q = M.T @ A.ravel(), M.T @ np.kron(B, np.eye(k)) @ M
+    x = np.linalg.lstsq(Q, alpha, rcond=None)[0]
+    return compat.h_to_H(x[:-1] / x[-1], k), -float(alpha @ x) ** 2 / float(x @ Q @ x)
+
+
 def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
     """Linear compatibility estimation (Eq 8), with the LinBP scale fitted
     jointly: ``E(H, s) = ||X - s * W X H||^2``.
@@ -178,36 +196,16 @@ def lce(edges: DataFrame, seed_labels: DataFrame, k: int) -> EstimationResult:
     ``E*(H) = const - sum(A∘H)^2 / tr(H^T B H)``
     over the k x k sketches ``A = N^T X`` and ``B = N^T N``. W is symmetric,
     so these are the first two levels of the full-path sketch:
-    ``A = X^T W X = M^(1)`` and ``B = X^T W^2 X = M^(2)``. Optimization never
+    ``A = X^T W X = M^(1)`` and ``B = X^T W^2 X = M^(2)``. Step 2 is one
+    linear solve of size k* + 1 (:func:`_lce_fit`), with no starts and no
+    iterations, so ``extra["converged"]`` is always True. Optimization never
     re-touches the graph (the paper evaluated LCE unfactorized, which is why
     its Fig 6k LCE line is far slower; see EXPERIMENTS.md)."""
-    def objective(sk: GraphSketches) -> tuple[Callable, Callable, list[np.ndarray]]:
-        A, B = sk.M
+    def fit(sk: GraphSketches) -> tuple[np.ndarray, float, dict]:
+        return *_lce_fit(*sk.M, k), {"converged": True}
 
-        def energy(h: np.ndarray) -> float:
-            H = compat.h_to_H(h, k)
-            a = float(np.sum(A * H))
-            b = float(np.trace(H.T @ B @ H))
-            return 0.0 if b <= 0 else -(a * a) / b
-
-        def grad(h: np.ndarray) -> np.ndarray:
-            H = compat.h_to_H(h, k)
-            a = float(np.sum(A * H))
-            b = float(np.trace(H.T @ B @ H))
-            if b <= 0:
-                return np.zeros_like(h)
-            dH = -(2.0 * a / b) * A + (2.0 * a * a / (b * b)) * (B @ H)
-            return structure_project(dH)
-
-        # The uniform matrix is a stationary saddle of the ratio objective
-        # (A and B are near-uniform there), so start from a slightly perturbed
-        # point; deterministic.
-        h0 = compat.uniform_h(k) + 1e-3 * (np.arange(compat.n_free_params(k)) % 3 - 1)
-        # Not a sum of squares, so BFGS on the gradient rather than LM.
-        return (lambda h: bfgs(energy, grad, h)), grad, [h0]
-
-    return _two_step("lce", k, lambda: build_sketches(edges, seed_labels, k, ell_max=2, nb=False),
-                     objective)
+    return _two_step("lce", lambda: build_sketches(edges, seed_labels, k, ell_max=2, nb=False),
+                     fit)
 
 
 def dce(

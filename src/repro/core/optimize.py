@@ -8,14 +8,10 @@ are implemented here:
   ``gradient.dce_gauss_newton``. The Eq-6 parameterization already bakes the
   symmetric doubly-stochastic constraints into the search space, so the
   problem is unconstrained in h (the paper's SLSQP plays the same role). On
-  the k = 11 Hep-Th analog, DCEr's ten starts take about 400 damped
-  Gauss-Newton steps in all, where BFGS on the same energy took about 1,750
-  iterations (DESIGN.md Section 3).
-* :func:`bfgs` — dense quasi-Newton BFGS with Armijo backtracking, for LCE,
-  whose ratio objective is not a sum of squares. The problems are small
-  (k* <= 55 parameters), so a dense k* x k* inverse-Hessian estimate is
-  cheap. Every step-2 solve starts from one call site,
-  ``estimators._minimize_energy``.
+  the k = 11 Hep-Th analog, DCEr's ten starts take 294-310 damped
+  Gauss-Newton steps in all (DESIGN.md Section 3). Every solve starts from
+  one call site, ``estimators._minimize_energy``. LCE needs no iterative
+  solver: its minimum is one linear solve (``estimators.lce``).
 * :func:`nelder_mead` — the gradient-free simplex method for the Holdout
   baseline, whose objective (negative propagation accuracy) is a step
   function with no gradient (the paper uses scipy's Nelder-Mead for exactly
@@ -27,17 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["levenberg_marquardt", "bfgs", "nelder_mead", "OptResult"]
+__all__ = ["levenberg_marquardt", "nelder_mead", "OptResult"]
 
-# The relative stop rule of both gradient solvers: stop once an accepted step
+# The relative stop rule of Levenberg-Marquardt: stop once an accepted step
 # lowers f by less than this times max(1, |f|).
 _REL_TOL = 1e-12
-# BFGS line search: the Armijo test's c1, the shrink factor, the most shrinks.
-_ARMIJO_C, _BACKTRACK, _MAX_BACKTRACKS = 1e-4, 0.5, 40
 # Levenberg-Marquardt damping: the factors on an accepted and on a rejected
 # step, the damping a first rejection sets (times the largest diagonal entry
-# of J^T J), the most rejections in a row, and the iteration cap (that of
-# :func:`bfgs`).
+# of J^T J), the most rejections in a row, and the iteration cap.
 _LM_DOWN, _LM_UP, _LM_FLOOR, _LM_MAX_REJECTS = 0.3, 10.0, 1e-2, 40
 _LM_MAX_ITER = 2000
 # Nelder-Mead: the initial simplex step, the x and f convergence tolerances.
@@ -72,11 +65,10 @@ def levenberg_marquardt(
     the largest diagonal entry of ``J^T J``. mu starts at 0, so the first step
     is the Gauss-Newton one, which solves a linear least-squares problem.
     Stops when an accepted step no longer reduces f by more than
-    ``1e-12 * max(1, |f|)`` (the rule of :func:`bfgs`), when the gradient
-    ``2 J^T r`` vanishes, or after 40 rejections in a row (no step makes
-    progress); unconverged after 2,000 iterations. ``fun`` gives every f
-    compared and returned; the model gives only the steps. ``nit`` counts the
-    iterations. Deterministic given ``x0``.
+    ``1e-12 * max(1, |f|)``, when the gradient ``2 J^T r`` vanishes, or after
+    40 rejections in a row (no step makes progress); unconverged after 2,000
+    iterations. ``fun`` gives every f compared and returned; the model gives
+    only the steps. ``nit`` counts the iterations. Deterministic given ``x0``.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = fun(x)
@@ -100,60 +92,6 @@ def levenberg_marquardt(
                 return OptResult(x, fx, it, True)  # no step makes progress
             mu = max(mu * _LM_UP, _LM_FLOOR * float(np.max(np.diag(JtJ))))
     return OptResult(x, fx, _LM_MAX_ITER, False)
-
-
-def bfgs(
-    fun: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    *,
-    max_iter: int = 2000,
-    tol: float = _REL_TOL,
-) -> OptResult:
-    """Dense BFGS (Nocedal & Wright Alg 6.1) with an Armijo backtracking line
-    search from the unit step (c1 = 1e-4, the step halved up to 40 times), on
-    an unconstrained problem.
-
-    The inverse-Hessian estimate starts at the identity. The search direction
-    falls back to steepest descent when the quasi-Newton one is not a descent
-    direction, and the update is skipped when the curvature ``s @ y`` is not
-    positive, so the estimate stays positive definite. Stops when the
-    accepted step no longer reduces the objective by more than
-    ``tol * max(1, |f|)`` (relative, so energy scale does not matter), when
-    the gradient norm vanishes, or when no step passes the Armijo test.
-    Deterministic given ``x0``.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    fx, g = fun(x), grad(x)
-    Hinv = np.eye(x.size)
-    for it in range(1, max_iter + 1):
-        gnorm2 = float(g @ g)
-        if gnorm2 < 1e-20:
-            return OptResult(x, fx, it, True)
-        p = -(Hinv @ g)
-        slope = float(p @ g)
-        if slope >= 0:
-            p, slope = -g, -gnorm2
-        step = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            cand = x + step * p
-            fc = fun(cand)
-            if fc <= fx + _ARMIJO_C * step * slope:
-                break
-            step *= _BACKTRACK
-        else:
-            return OptResult(x, fx, it, True)  # no step makes progress
-        g_new = grad(cand)
-        s, y = cand - x, g_new - g
-        improved = fx - fc
-        x, fx, g = cand, fc, g_new
-        if improved < tol * max(1.0, abs(fx)):
-            return OptResult(x, fx, it, True)
-        sy = float(s @ y)
-        if sy > 0:
-            Hy = Hinv @ y
-            Hinv += ((sy + y @ Hy) / sy**2) * np.outer(s, s) - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
-    return OptResult(x, fx, max_iter, False)
 
 
 def nelder_mead(
